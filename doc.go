@@ -65,15 +65,21 @@
 // exactly one owner replica. A replica serving a key it owns uses its
 // local pool as usual; for a foreign-owned key it first checks local
 // residency (crawl sets stay replica-local), then proxies the cache
-// lookup to the owner (GET /cluster/get — residency-only, never a web
-// query), and on an owner miss pays the web-database query itself and
-// asynchronously pushes the answer to the owner (POST /cluster/put), so
-// the cluster never re-pays for an answer any replica already holds.
-// Failure semantics: per-peer health probes with backoff exclude dead
-// peers from the ring (their key ranges move to ring successors and snap
-// back on recovery), and a forward that fails mid-flight falls back to
-// serving through the local pool — a peer outage degrades query cost,
-// never availability. Answers admitted off-owner during an outage are
+// lookup to the owner (residency-only, never a web query), and on an
+// owner miss pays the web-database query itself and asynchronously
+// pushes the answer to the owner, so the cluster never re-pays for an
+// answer any replica already holds. Replicas talk over one peer
+// transport: persistent connections, opened by an HTTP Upgrade on the
+// same listen address that serves users, carrying length-prefixed
+// binary frames with coalesced lookups; forwards, puts, epoch gossip,
+// fleet metric polls and health probes all ride it. A request whose
+// connection dies in flight is re-sent on a fresh dial within the same
+// attempt. Failure semantics: a failed dial, a timeout or a 5xx-family
+// answer indicts the peer; per-peer health probes with backoff exclude
+// dead peers from the ring (their key ranges move to ring successors and
+// snap back on recovery), and a forward that fails falls back to serving
+// through the local pool — a peer outage degrades query cost, never
+// availability. Answers admitted off-owner during an outage are
 // tracked as strays and re-homed: when the owner recovers, each stray is
 // pushed to it and the local copy released, restoring the exactly-once
 // invariant without waiting for LRU aging. Source epochs ride the same
@@ -82,7 +88,7 @@
 // adopts it (running the same wipes — partial when the adoption is
 // exactly one ahead and scoped, full when a gap hides unseen scopes), a
 // put tagged with a lower seq is rejected as stale, and the probe loop
-// gossips epochs over /cluster/ring so a bump converges even across
+// gossips epochs over the ring document so a bump converges even across
 // replicas with no shared traffic. Replicas join with qr2server
 // -peers/-self.
 //

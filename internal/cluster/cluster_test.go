@@ -525,6 +525,17 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Self: "a", Peers: map[string]string{"a": "", "b": ""}}); err == nil {
 		t.Fatal("peer without URL accepted")
 	}
+	// Peers are reached by upgrading a plain HTTP connection: a URL the
+	// dialer cannot reach is a configuration error, not a peer that is
+	// silently never forwarded to.
+	for _, bad := range []string{"https://b:8080", "http://", "http://:8080", "b:8080", "::", "http://b\x7f:8080"} {
+		if _, err := New(Config{Self: "a", Peers: map[string]string{"a": "", "b": bad}}); err == nil {
+			t.Fatalf("unreachable peer URL %q accepted", bad)
+		}
+	}
+	if _, err := New(Config{Self: "a", Peers: map[string]string{"a": "", "b": "http://b"}}); err != nil {
+		t.Fatalf("port-less http URL rejected: %v", err)
+	}
 }
 
 // TestQuiesceWaitsForAdmits: Quiesce returns only after outstanding
@@ -559,7 +570,7 @@ func TestApplicationErrorDoesNotKillPeer(t *testing.T) {
 	ctx := context.Background()
 	a, b := reps[0], reps[1]
 	// Simulate a misconfigured peer: b never registered the source, so
-	// its /cluster/get answers 404 while /healthz stays green.
+	// its lookups answer a 404-family opErr while it stays healthy.
 	b.node.mu.Lock()
 	delete(b.node.sources, a.db.Name())
 	b.node.mu.Unlock()

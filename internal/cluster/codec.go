@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -10,7 +11,7 @@ import (
 	"repro/internal/relation"
 )
 
-// The peer protocol v2 wire format. One TCP connection carries a stream
+// The peer transport's wire format. One TCP connection carries a stream
 // of length-prefixed binary frames in both directions; request IDs
 // multiplex concurrent operations, so responses return in whatever order
 // the peer finishes them:
@@ -24,12 +25,12 @@ import (
 // Integers inside payloads are unsigned varints; float64s travel as
 // IEEE-754 bit patterns (8 bytes LE), so bounds round-trip exactly —
 // both ends derive the identical canonical cache key from the wire
-// predicate, the same guarantee the v1 filter-form grammar gives.
+// predicate.
 // Strings and byte blobs are length-prefixed with a varint bounded by
 // the bytes remaining in the frame, so a hostile length prefix can
 // never force an over-allocation.
 //
-// Op table (see doc.go "Peer protocol v2" for the full semantics):
+// Op table (see doc.go "Peer transport" for the full semantics):
 //
 //	opHello      1   client → server: magic, highest supported version, self id
 //	opHelloAck   2   server → client: negotiated version, self id
@@ -71,8 +72,9 @@ const (
 	// protoMagic opens the hello payload; a server that reads anything
 	// else is talking to something that is not a QR2 peer.
 	protoMagic = "QR2P"
-	// protoV2 is this binary's protocol version. Negotiation picks
-	// min(client, server); anything below 2 means "fall back to HTTP".
+	// protoV2 is this binary's protocol version. Both hello frames
+	// carry it, so a later version can negotiate min(client, server);
+	// today a peer answering below 2 fails the handshake.
 	protoV2 = 2
 	// frameHeaderLen is op + flags + request id.
 	frameHeaderLen = 1 + 1 + 8
@@ -81,15 +83,15 @@ const (
 	// here before any allocation).
 	maxFrameLen = 16 << 20
 	// maxBatchWire bounds the lookups one batch frame may carry —
-	// decode-side ceiling; the batcher's own cap is Config.MaxBatch.
+	// decode-side ceiling; the batcher's own cap is maxBatch.
 	maxBatchWire = 1024
 )
 
 // put admission statuses carried by opPutResp.
 const (
 	putStatusOK      = 0
-	putStatusStale   = 1 // older epoch than the receiver serves under (v1: 409)
-	putStatusRefused = 2 // malformed or unknown namespace (v1: 4xx)
+	putStatusStale   = 1 // older epoch than the receiver serves under
+	putStatusRefused = 2 // malformed or unknown namespace
 )
 
 // wireWriter appends wire primitives to a reusable buffer.
@@ -346,8 +348,8 @@ func appendTuples(w *wireWriter, ts []relation.Tuple, width int) {
 }
 
 // decodeTuples reconstructs a tuple set, requiring the wire width to
-// match the receiver's schema exactly — the binary analogue of the v1
-// handler's per-tuple length check.
+// match the receiver's schema exactly, so no tuple can index past the
+// schema's attributes.
 func decodeTuples(r *wireReader, schema *relation.Schema) []relation.Tuple {
 	width := r.uvarint()
 	if r.err != nil {
@@ -404,7 +406,7 @@ func appendScope(w *wireWriter, sc *rectDoc) {
 
 // decodeScope reads an optional rect. A malformed scope fails the frame
 // (transport integrity); whether a *missing* scope means full wipe is
-// the adopter's business, exactly as on v1.
+// the adopter's business.
 func decodeScope(r *wireReader) *rectDoc {
 	if r.u8() == 0 || r.err != nil {
 		return nil
@@ -553,6 +555,89 @@ func decodeGetResponse(r *wireReader, schema *relation.Schema) getResponse {
 // resultOf converts a decoded response into the caller-facing result.
 func (g getResponse) resultOf() hidden.Result {
 	return hidden.Result{Tuples: g.tuples, Overflow: g.overflow}
+}
+
+// appendRingResponse encodes the opRingResp payload: the binary form of
+// the GET /cluster/ring document — membership, health, and per-source
+// epochs with their transition scopes.
+func appendRingResponse(w *wireWriter, doc ringDoc) {
+	w.str(doc.Self)
+	w.uvarint(uint64(doc.VirtualNodes))
+	w.uvarint(uint64(len(doc.Peers)))
+	for _, p := range doc.Peers {
+		w.str(p.ID)
+		w.str(p.URL)
+		w.bool(p.Alive)
+		w.uvarint(uint64(p.ConsecutiveFails))
+	}
+	w.uvarint(uint64(len(doc.Epochs)))
+	for name, seq := range doc.Epochs {
+		w.str(name)
+		w.uvarint(seq)
+		var sc *rectDoc
+		if d, ok := doc.Scopes[name]; ok {
+			sc = &d
+		}
+		appendScope(w, sc)
+	}
+}
+
+// decodeRingResponse decodes an opRingResp payload; the caller checks
+// r.finish(). Gossip adopts what it returns, so every count is bounded
+// by the remaining payload like any other peer-supplied field.
+func decodeRingResponse(r *wireReader) ringDoc {
+	doc := ringDoc{Self: r.str(), VirtualNodes: int(r.uvarint())}
+	np := r.count("peers", 4)
+	for i := 0; i < np && r.err == nil; i++ {
+		doc.Peers = append(doc.Peers, PeerStats{
+			ID:               r.str(),
+			URL:              r.str(),
+			Alive:            r.bool(),
+			ConsecutiveFails: int64(r.uvarint()),
+		})
+	}
+	ne := r.count("epochs", 3)
+	for i := 0; i < ne && r.err == nil; i++ {
+		name := r.str()
+		seq := r.uvarint()
+		sc := decodeScope(r)
+		if doc.Epochs == nil {
+			doc.Epochs = make(map[string]uint64, ne)
+		}
+		doc.Epochs[name] = seq
+		if sc != nil {
+			if doc.Scopes == nil {
+				doc.Scopes = make(map[string]rectDoc, ne)
+			}
+			doc.Scopes[name] = *sc
+		}
+	}
+	return doc
+}
+
+// appendObsResponse encodes the opObsResp payload: the observability
+// snapshot as a JSON blob. The snapshot is a polling-cadence cold path,
+// so it rides the persistent connection without its own binary codec.
+func appendObsResponse(w *wireWriter, s *obs.Snapshot) error {
+	b, err := json.Marshal(s)
+	if err != nil {
+		return err
+	}
+	w.bytes(b)
+	return nil
+}
+
+// decodeObsResponse decodes an opObsResp payload.
+func decodeObsResponse(r *wireReader) (*obs.Snapshot, error) {
+	blob := r.blob()
+	if err := r.finish(); err != nil {
+		return nil, err
+	}
+	var s obs.Snapshot
+	if err := json.Unmarshal(blob, &s); err != nil {
+		return nil, err
+	}
+	return &s, nil
 }
 
 // wireError is an opErr payload decoded into an error. Codes follow the

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/hidden"
+	"repro/internal/obs"
 	"repro/internal/qcache"
 	"repro/internal/relation"
 )
@@ -117,6 +118,30 @@ func fuzzSeeds() [][]byte {
 		binary.LittleEndian.AppendUint32(nil, frameHeaderLen-1),    // undersized length prefix
 		append(binary.LittleEndian.AppendUint32(nil, 64), 1, 2, 3), // truncated body
 		{},
+		// The gossip and roll-up answers a peer sends back (appended
+		// after the original seeds so their corpus files keep their
+		// names).
+		frameOf(opRingResp, 16, func(w *wireWriter) {
+			appendRingResponse(w, ringDoc{
+				Self: "b", VirtualNodes: 8,
+				Peers:  []PeerStats{{ID: "a", URL: "http://a", Alive: true}, {ID: "b", ConsecutiveFails: 2}},
+				Epochs: map[string]uint64{"gems": 3},
+				Scopes: map[string]rectDoc{"gems": *scope},
+			})
+		}),
+		frameOf(opObsResp, 17, func(w *wireWriter) {
+			snap := &obs.Snapshot{Replica: "b", Traces: 4, WebQueries: 2, Stage: map[string]*obs.HistData{
+				"peer_forward/hit": {Counts: []uint64{0, 3, 1}, Sum: 900},
+			}}
+			if err := appendObsResponse(w, snap); err != nil {
+				panic(err)
+			}
+		}),
+		frameOf(opRingResp, 18, func(w *wireWriter) { // hostile peer and epoch counts
+			w.str("b")
+			w.uvarint(8)
+			w.uvarint(1 << 40)
+		}),
 	}
 	return seeds
 }
@@ -158,6 +183,9 @@ func FuzzV2Frames(f *testing.F) {
 				decodeWireErr(fr.payload)
 				rd = &wireReader{buf: fr.payload}
 				decodeSubtree(rd)
+				rd = &wireReader{buf: fr.payload}
+				decodeRingResponse(rd)
+				decodeObsResponse(&wireReader{buf: fr.payload})
 			}
 			if out != nil {
 				resp, err := readFrame(bufio.NewReader(bytes.NewReader(out)))

@@ -2,12 +2,8 @@ package cluster
 
 import (
 	"context"
-	"fmt"
-	"net/http"
 	"sync"
 	"time"
-
-	"repro/internal/wdbhttp"
 )
 
 // Per-peer health checking. Peers start alive (optimistic: the common case
@@ -52,29 +48,6 @@ func newHealth(cfg Config) *health {
 	}
 	if h.interval <= 0 {
 		h.interval = 5 * time.Second
-	}
-	if h.probe == nil {
-		hc := cfg.HTTPClient
-		if hc == nil {
-			hc = &http.Client{Timeout: 2 * time.Second}
-		}
-		h.probe = func(ctx context.Context, id, url string) error {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/healthz", nil)
-			if err != nil {
-				return err
-			}
-			resp, err := hc.Do(req)
-			if err != nil {
-				return err
-			}
-			// Drained, not just closed: a probe that discards the "ok" body
-			// unread would burn one keep-alive connection per tick.
-			wdbhttp.DrainClose(resp)
-			if resp.StatusCode != http.StatusOK {
-				return fmt.Errorf("cluster: %s /healthz returned %s", id, resp.Status)
-			}
-			return nil
-		}
 	}
 	for id, url := range cfg.Peers {
 		if id == cfg.Self {
@@ -184,7 +157,7 @@ func (h *health) check(ctx context.Context, force bool) {
 	wg.Wait()
 }
 
-// snapshot reports every peer's state for stats and /cluster/ring.
+// snapshot reports every peer's state for stats and the ring document.
 func (h *health) snapshot() map[string]PeerStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,8 +23,9 @@ type Config struct {
 	// Self is this replica's id. It must appear in Peers.
 	Self string
 	// Peers maps every replica id — including Self — to its base URL
-	// (scheme://host:port). Self's URL may be empty; a node never
-	// forwards to itself.
+	// (http://host:port: peers dial it and upgrade the connection to the
+	// binary transport, so https and host-less URLs are rejected). Self's
+	// URL may be empty; a node never forwards to itself.
 	Peers map[string]string
 	// VirtualNodes is the ring positions per peer (default
 	// DefaultVirtualNodes).
@@ -33,25 +33,25 @@ type Config struct {
 	// ProbeInterval paces the active health prober started by Start
 	// (default 5s).
 	ProbeInterval time.Duration
-	// HTTPClient issues peer requests (default: 2s-timeout client).
-	HTTPClient *http.Client
-	// Probe overrides the health probe (default: GET <url>/healthz).
-	// Tests use it to simulate peer death deterministically.
+	// Probe overrides the health probe (default: one opRing round trip
+	// over the peer transport). Tests use it to simulate peer death
+	// deterministically.
 	Probe func(ctx context.Context, id, url string) error
 	// Epochs joins the node to the process's source-epoch registry
 	// (internal/epoch). When set, every peer-protocol message carries the
 	// sender's epoch seq for the source: a replica seeing a higher seq
 	// adopts it through the registry (wiping the affected namespace), a
-	// /cluster/put tagged with a lower seq is rejected instead of
-	// admitted, and the probe loop gossips epochs over /cluster/ring so a
-	// bump reaches even replicas with no traffic for the source. Nil
-	// disables epoch exchange (every message travels untagged).
+	// put tagged with a lower seq is rejected instead of admitted, and
+	// the probe loop gossips epochs over opRing so a bump reaches even
+	// replicas with no traffic for the source. Nil disables epoch
+	// exchange (every message travels untagged).
 	Epochs *epoch.Registry
-	// Retry applies to each peer RPC (/cluster/get and /cluster/put):
-	// attempts beyond the first re-run only failures that indict the
-	// peer (transport errors, 5xx) — a 4xx or a 409 stale-epoch
-	// rejection is final. The zero value keeps the pre-retry behaviour
-	// of a single attempt per RPC.
+	// Retry applies to each forwarded lookup and put: attempts beyond
+	// the first re-run only failures that indict the peer (failed dial,
+	// timeout, 5xx-family error) — a 4xx or a stale-epoch rejection is
+	// final. The zero value keeps the pre-retry behaviour of a single
+	// attempt per RPC. (A connection lost mid-request is re-sent inside
+	// the attempt regardless; see transport.go.)
 	Retry resilience.Retry
 	// Snapshot supplies this replica's mergeable observability snapshot.
 	// When set, Register mounts GET /cluster/obs serving it and the
@@ -61,24 +61,6 @@ type Config struct {
 	// OnFleetSnapshot receives each merged fleet snapshot right after a
 	// roll-up poll — the service's hook for SLO accounting.
 	OnFleetSnapshot func(*obs.Snapshot)
-	// DisableV2 pins this node to peer protocol v1: it neither serves
-	// GET /cluster/v2 nor dials peers with it, so every peer exchange
-	// stays on the HTTP endpoints. Mixed rings work either way — v2
-	// nodes discover a v1 node through version negotiation — so this
-	// exists for staged rollouts and for testing the mixed-ring path.
-	DisableV2 bool
-	// PeerConns sizes the per-peer persistent connection pool of the v2
-	// transport (default DefaultPeerConns).
-	PeerConns int
-	// BatchWindow makes each v2 batch flusher linger before draining,
-	// trading forward latency for bigger coalesced frames. The zero
-	// default is pure group commit: batches form only from lookups that
-	// arrive while a flush's write syscall is in flight, which costs a
-	// serial caller nothing.
-	BatchWindow time.Duration
-	// MaxBatch caps lookups per coalesced frame (default
-	// DefaultMaxBatch).
-	MaxBatch int
 }
 
 // PeerStats is one peer's membership state.
@@ -100,7 +82,7 @@ type Stats struct {
 	// anyway (a crawl set or a fallback entry this replica still holds) —
 	// cheaper than any forward.
 	LocalHits int64 `json:"local_hits"`
-	// Forwards counts /cluster/get lookups sent to owners; ForwardHits
+	// Forwards counts lookups forwarded to owners; ForwardHits
 	// came back with the answer (zero web-database queries), ForwardMisses
 	// did not — this replica then paid the web query and pushed the answer
 	// to the owner.
@@ -114,8 +96,8 @@ type Stats struct {
 	// Coalesced counts foreign-owned searches that joined an identical
 	// in-flight forward instead of issuing their own.
 	Coalesced int64 `json:"coalesced"`
-	// AdmitsSent / AdmitErrors count asynchronous /cluster/put pushes of
-	// locally computed answers to their owners.
+	// AdmitsSent / AdmitErrors count asynchronous pushes of locally
+	// computed answers to their owners.
 	AdmitsSent  int64 `json:"admits_sent"`
 	AdmitErrors int64 `json:"admit_errors"`
 	// PeerGets / PeerGetHits / PeerPuts count the server side: lookups and
@@ -135,9 +117,8 @@ type Stats struct {
 	// strays pushed back to their recovered owner and released.
 	Strays  int   `json:"strays"`
 	Rehomed int64 `json:"rehomed"`
-	// Transport is the peer-protocol-v2 transport snapshot (frames,
-	// batches, fallbacks, per-peer negotiated protocol); nil when the
-	// node runs with DisableV2.
+	// Transport is the peer transport snapshot (frames, batches, dials,
+	// live connections per peer).
 	Transport *TransportStats `json:"transport,omitempty"`
 }
 
@@ -148,13 +129,11 @@ type Node struct {
 	urls   map[string]string
 	ring   *Ring
 	health *health
-	hc     *http.Client
 	epochs *epoch.Registry  // nil without epoch exchange
 	retry  resilience.Retry // per-RPC retry policy (zero: single attempt)
 
-	// transport is the peer-protocol-v2 client (nil with DisableV2:
-	// every exchange goes over the HTTP endpoints). v2conns tracks
-	// established v2 server connections for CloseV2Conns.
+	// transport is the peer transport's client side. v2conns tracks
+	// established server connections for CloseV2Conns.
 	transport *transport
 	v2mu      sync.Mutex
 	v2conns   map[net.Conn]struct{}
@@ -225,23 +204,25 @@ func New(cfg Config) (*Node, error) {
 	}
 	ids := make([]string, 0, len(cfg.Peers))
 	urls := make(map[string]string, len(cfg.Peers))
+	addrs := make(map[string]string, len(cfg.Peers))
 	for id, url := range cfg.Peers {
 		if id == "" {
 			return nil, errors.New("cluster: empty peer id")
 		}
-		// Protocol paths are appended with a leading slash; a trailing
-		// slash here would produce "//cluster/put", which the mux 301s and
-		// the client re-issues as GET — silently failing every push.
 		url = strings.TrimRight(url, "/")
-		if id != cfg.Self && url == "" {
-			return nil, fmt.Errorf("cluster: peer %q has no URL", id)
-		}
 		ids = append(ids, id)
 		urls[id] = url
-	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Timeout: 2 * time.Second}
+		if id == cfg.Self {
+			continue
+		}
+		if url == "" {
+			return nil, fmt.Errorf("cluster: peer %q has no URL", id)
+		}
+		addr, err := peerAddr(url)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: peer %q: unreachable URL: %w", id, err)
+		}
+		addrs[id] = addr
 	}
 	retry := cfg.Retry
 	if retry.RetryIf == nil {
@@ -254,7 +235,6 @@ func New(cfg Config) (*Node, error) {
 		urls:       urls,
 		ring:       NewRing(ids, cfg.VirtualNodes),
 		health:     newHealth(cfg),
-		hc:         hc,
 		epochs:     cfg.Epochs,
 		retry:      retry,
 		snapshotFn: cfg.Snapshot,
@@ -263,18 +243,11 @@ func New(cfg Config) (*Node, error) {
 		flights:    make(map[string]*flight),
 		strays:     make(map[strayKey]relation.Predicate),
 	}
-	if !cfg.DisableV2 {
-		n.transport = newTransport(n, cfg)
+	n.transport = newTransport(n, addrs)
+	if n.health.probe == nil {
+		n.health.probe = n.probe
 	}
-	n.health.onRevive = func(id string) {
-		// A revive is exactly when a peer's protocol may have changed (it
-		// restarted): re-arm v2 negotiation before the re-homing pass so
-		// the pushed strays already ride the renegotiated transport.
-		if n.transport != nil {
-			n.transport.reset(id)
-		}
-		n.peerRevived(id)
-	}
+	n.health.onRevive = n.peerRevived
 	return n, nil
 }
 
@@ -303,7 +276,7 @@ func (n *Node) Start(ctx context.Context) {
 	}()
 }
 
-// Gossip pulls /cluster/ring from every alive peer and adopts any higher
+// Gossip pulls the ring document from every alive peer and adopts any higher
 // source epoch it reports, wiping the affected local namespaces. This is
 // the row that makes an epoch bump reach a replica even when no request
 // for the source ever crosses between them; get/put exchanges converge
@@ -312,11 +285,11 @@ func (n *Node) Gossip(ctx context.Context) {
 	if n.epochs == nil {
 		return
 	}
-	for id, url := range n.urls {
+	for id := range n.urls {
 		if id == n.self || !n.health.alive(id) {
 			continue
 		}
-		doc, err := n.fetchRing(ctx, id, url)
+		doc, err := n.fetchRing(ctx, id)
 		if err != nil {
 			continue // gossip is opportunistic; the health prober owns indictment
 		}
@@ -535,7 +508,7 @@ func (n *Node) rehome(id string) {
 			n.dropStray(k)
 			continue
 		}
-		// The seq is read BEFORE the Peek (as in handleGet): a bump
+		// The seq is read BEFORE the Peek (as in v2Lookup): a bump
 		// landing in between would otherwise tag a pre-change answer
 		// with the post-bump epoch and carry it past the owner's wipe.
 		seq := n.seqOf(k.ns)
@@ -680,7 +653,7 @@ func (s *clusterSource) searchForeign(ctx context.Context, owner string, p relat
 	n := s.node
 	n.forwards.Add(1)
 	// The epoch this search runs under is captured before any network
-	// round trip: the eventual /cluster/put is tagged with it, so if the
+	// round trip: the eventual put is tagged with it, so if the
 	// epoch bumps while the web query is in flight the owner rejects the
 	// (possibly pre-change) answer instead of installing it.
 	seq := n.seqOf(s.name)

@@ -2,19 +2,17 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/wdbhttp"
 )
 
-// The fleet observability roll-up. Each replica serves its own mergeable
-// snapshot at GET /cluster/obs (mounted by Register when Config.Snapshot
-// is set); PollObs — riding the same tick as the health prober and epoch
-// gossip — pulls every alive peer's snapshot, merges it with the local
+// The fleet observability roll-up. Each replica answers opObs with its
+// own mergeable snapshot (and serves it to operators at GET /cluster/obs,
+// mounted by Register when Config.Snapshot is set); PollObs — riding the
+// same tick as the health prober and epoch gossip — pulls every alive
+// peer's snapshot over the peer transport, merges it with the local
 // one (the log-bucketed histograms merge exactly: identical
 // power-of-two buckets, elementwise adds) and hands the fleet snapshot
 // to Config.OnFleetSnapshot, which the service feeds into the SLO
@@ -23,31 +21,6 @@ import (
 // handleObs serves this replica's observability snapshot.
 func (n *Node) handleObs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, n.snapshotFn())
-}
-
-// fetchObs pulls one peer's observability snapshot — over v2 when the
-// peer speaks it, over GET /cluster/obs otherwise.
-func (n *Node) fetchObs(ctx context.Context, id, url string) (*obs.Snapshot, error) {
-	if s, err, handled := n.fetchObsV2(ctx, id); handled {
-		return s, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/cluster/obs", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer wdbhttp.DrainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: /cluster/obs returned %s", resp.Status)
-	}
-	var s obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }
 
 // PollObs refreshes the fleet roll-up: the local snapshot plus every
@@ -61,11 +34,11 @@ func (n *Node) PollObs(ctx context.Context) {
 	}
 	local := n.snapshotFn()
 	replicas := map[string]*obs.Snapshot{n.self: local}
-	for id, url := range n.urls {
+	for id := range n.urls {
 		if id == n.self || !n.health.alive(id) {
 			continue
 		}
-		s, err := n.fetchObs(ctx, id, url)
+		s, err := n.fetchObs(ctx, id)
 		if err != nil {
 			continue // opportunistic, like gossip
 		}

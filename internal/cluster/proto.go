@@ -7,10 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/url"
-	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/hidden"
 	"repro/internal/obs"
@@ -18,52 +14,49 @@ import (
 	"repro/internal/region"
 	"repro/internal/relation"
 	"repro/internal/resilience"
-	"repro/internal/wdbhttp"
 )
 
-// The peer answer-cache protocol. Three endpoints, mounted on the same
-// mux as the public service so a replica's one listen address serves
-// users and peers alike:
+// The peer answer-cache protocol. Peers talk over the binary frame
+// transport (transport.go, codec.go), entered through one HTTP route on
+// the same mux as the public service, so a replica's one listen address
+// serves users and peers alike:
 //
-//	GET  /cluster/get?ns=<source>&<filter form>   resident-only lookup
-//	POST /cluster/put                             admit an answer (JSON)
-//	GET  /cluster/ring                            membership + health
+//	GET  /cluster/v2     Upgrade: qr2-peer/2 — the peer transport
+//	GET  /cluster/ring   membership + health + epochs, JSON (operators)
+//	GET  /cluster/obs    observability snapshot, JSON (operators)
 //
-// Predicates travel as the same application/x-www-form-urlencoded filter
-// grammar the web databases themselves use (internal/wdbhttp), which
-// round-trips exactly through the canonical key serialisation — both
-// replicas derive the identical cache key from the wire form. /cluster/get
+// Predicates travel as bit-exact binary bounds, so both replicas derive
+// the identical canonical cache key from the wire form. A lookup (opGet)
 // never queries the web database: it answers from the owner's residency
-// (exact, containment or crawl entry) or reports found=false, leaving the
-// caller to pay the query and push the answer back via /cluster/put.
+// (exact, containment or crawl entry) or reports found=false, leaving
+// the caller to pay the query and push the answer back (opPut).
 //
 // With an epoch registry configured (Config.Epochs), every message
-// additionally carries (source, epoch seq): /cluster/get requests an
-// eseq parameter and responses an epoch field, /cluster/put bodies an
-// epoch field, and /cluster/ring an epochs map. The invalidation
+// additionally carries (source, epoch seq): lookups carry the caller's
+// seq and responses the owner's, puts the seq the answer was produced
+// under, and the ring document every source's seq. The invalidation
 // ordering across the ring is: (1) the detecting replica bumps locally —
 // its wipes complete before the bump call returns; (2) any replica
 // seeing a higher seq on any message adopts it via Registry.Observe,
 // whose wipes likewise complete before the message is answered, so a
 // lookup that triggered an adoption reports found=false from the
 // already-wiped cache; (3) a put tagged with a seq below the receiver's
-// is rejected (409) and counted — the answer may predate the change, and
-// losing an admission costs one repeated web query, never correctness;
-// (4) the probe loop gossips epochs over /cluster/ring so replicas with
-// no shared traffic converge within one probe interval.
+// is rejected (putStatusStale) and counted — the answer may predate the
+// change, and losing an admission costs one repeated web query, never
+// correctness; (4) the probe loop gossips epochs over opRing so replicas
+// with no shared traffic converge within one probe interval.
 //
 // Region-scoped bumps travel too: when the sender's latest transition
-// was confined to a rectangle, the seq is accompanied by its rect (an
-// escope parameter on /cluster/get requests, a scope field on get
-// responses and put bodies, a scopes map on /cluster/ring), so the
-// adopting replica wipes only the intersecting slice of its caches. The
-// fallback is always the full wipe: a message without a scope — an older
-// binary, an adoption that skips sequence numbers, a rect that fails to
-// decode — adopts exactly as before. Scope never weakens the ordering
-// above; it only narrows what an adoption destroys.
+// was confined to a rectangle, the seq is accompanied by its rect, so
+// the adopting replica wipes only the intersecting slice of its caches.
+// The fallback is always the full wipe: a message without a scope — an
+// adoption that skips sequence numbers, a rect that fails to decode —
+// adopts in full. Scope never weakens the ordering above; it only
+// narrows what an adoption destroys.
 
-// rectDoc is the wire form of a region.Rect. Interval bounds travel as
-// IEEE-754 bit patterns (uint64) because JSON cannot represent ±Inf;
+// rectDoc is the wire form of a region.Rect (binary in codec.go, JSON in
+// the /cluster/ring document). Interval bounds travel as IEEE-754 bit
+// patterns (uint64) because JSON cannot represent ±Inf;
 // Flags packs the open-endpoint bits (1 = LoOpen, 2 = HiOpen) per
 // dimension. A peer that cannot express or decode the rect simply drops
 // it, and the adoption falls back to a full wipe.
@@ -113,50 +106,8 @@ func (d *rectDoc) rect() (region.Rect, error) {
 	return region.New(d.Attrs, ivs)
 }
 
-// getDoc is the JSON response of GET /cluster/get.
-type getDoc struct {
-	Found    bool       `json:"found"`
-	Overflow bool       `json:"overflow"`
-	Tuples   []tupleDoc `json:"tuples,omitempty"`
-	// Epoch is the owner's source epoch seq (0 when epochs are off);
-	// Scope, when present, is the region the owner's latest transition
-	// was confined to, so an adopting caller can wipe partially.
-	Epoch uint64   `json:"epoch,omitempty"`
-	Scope *rectDoc `json:"scope,omitempty"`
-	// Trace is the owner-side span subtree, returned only when the caller
-	// asked for it via the X-QR2-Trace header; the caller stitches it into
-	// its own trace so /api/trace renders one end-to-end tree.
-	Trace *obs.Subtree `json:"trace,omitempty"`
-}
-
-// putRespDoc is the JSON response of POST /cluster/put.
-type putRespDoc struct {
-	Trace *obs.Subtree `json:"trace,omitempty"`
-}
-
-// putDoc is the JSON request of POST /cluster/put.
-type putDoc struct {
-	NS string `json:"ns"`
-	// Filter is the predicate in url-encoded filter-form grammar.
-	Filter   string     `json:"filter"`
-	Overflow bool       `json:"overflow"`
-	Tuples   []tupleDoc `json:"tuples"`
-	// Epoch is the source epoch seq the answer was produced under,
-	// captured by the sender before it issued the web query. A receiver
-	// on a higher epoch rejects the admission as stale. Scope, attached
-	// only when Epoch is still the sender's live epoch, is the region
-	// that epoch's transition was confined to — a receiver that is
-	// behind adopts with a partial wipe instead of a full one.
-	Epoch uint64   `json:"epoch,omitempty"`
-	Scope *rectDoc `json:"scope,omitempty"`
-}
-
-type tupleDoc struct {
-	ID     int64     `json:"id"`
-	Values []float64 `json:"values"`
-}
-
-// ringDoc is the JSON response of GET /cluster/ring.
+// ringDoc is the ring document: GET /cluster/ring serves it as JSON and
+// opRingResp carries it in binary.
 type ringDoc struct {
 	Self         string      `json:"self"`
 	VirtualNodes int         `json:"virtual_nodes"`
@@ -169,94 +120,20 @@ type ringDoc struct {
 	Scopes map[string]rectDoc `json:"scopes,omitempty"`
 }
 
-type errorDoc struct {
-	Error string `json:"error"`
-}
-
-// decodeScopeParam parses the escope query parameter (a JSON rectDoc).
-// nil on absence or malformation — the caller falls back to a full wipe.
-func decodeScopeParam(s string) *rectDoc {
-	if s == "" {
-		return nil
-	}
-	var d rectDoc
-	if err := json.Unmarshal([]byte(s), &d); err != nil {
-		return nil
-	}
-	return &d
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// Register mounts the peer protocol on a mux: the v1 HTTP endpoints
-// always (they are the fallback transport and the mixed-ring common
-// denominator), and the v2 upgrade endpoint unless Config.DisableV2
-// pinned this node to v1.
+// Register mounts the peer transport's upgrade route and the read-only
+// operator endpoints on a mux.
 func (n *Node) Register(mux *http.ServeMux) {
-	mux.HandleFunc("GET /cluster/get", n.handleGet)
-	mux.HandleFunc("POST /cluster/put", n.handlePut)
+	mux.HandleFunc("GET /cluster/v2", n.handleV2)
 	mux.HandleFunc("GET /cluster/ring", n.handleRing)
-	if n.transport != nil {
-		mux.HandleFunc("GET /cluster/v2", n.handleV2)
-	}
 	if n.snapshotFn != nil {
 		mux.HandleFunc("GET /cluster/obs", n.handleObs)
 	}
-}
-
-func (n *Node) handleGet(w http.ResponseWriter, r *http.Request) {
-	n.peerGets.Add(1)
-	q := r.URL.Query()
-	name := q.Get("ns")
-	cs, ok := n.source(name)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: fmt.Sprintf("unknown namespace %q", name)})
-		return
-	}
-	q.Del("ns")
-	eseq, escope := q.Get("eseq"), q.Get("escope")
-	q.Del("eseq")
-	q.Del("escope")
-	if eseq != "" {
-		if seq, err := strconv.ParseUint(eseq, 10, 64); err == nil {
-			// Adopting a newer epoch wipes the namespace before the Peek
-			// below, so the caller sees found=false from the post-change
-			// cache rather than a stale answer. A scoped caller epoch
-			// narrows the wipe; an undecodable scope falls back to full.
-			n.observeScoped(name, seq, decodeScopeParam(escope))
-		}
-	}
-	pred, err := wdbhttp.ParseFilterForm(cs.Schema(), q)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
-		return
-	}
-	// The seq (and the scope of its transition) is read BEFORE the Peek:
-	// if a bump lands in between, the answer travels honestly tagged with
-	// the epoch it was valid under (and the caller's own gate handles
-	// it); reading after could tag pre-change tuples with the post-change
-	// epoch.
-	seq, scope := n.epochOf(name)
-	// The owner-side residency probe is a span in this request's trace —
-	// Peek itself is context-free, so the handler records the stage — and
-	// the exported subtree below carries it back to the forwarding caller.
-	tmLk := obs.FromContext(r.Context()).Start(obs.StagePoolLookup)
-	// Shared peek: the tuples only flow into encodeTuples below.
-	res, found := cs.cache.PeekShared(pred)
-	tmLk.End(hitMiss(found))
-	doc := getDoc{Found: found, Overflow: res.Overflow, Epoch: seq, Scope: scope}
-	if found {
-		n.peerGetHits.Add(1)
-		doc.Tuples = encodeTuples(res.Tuples)
-	}
-	if r.Header.Get(obs.TraceHeader) != "" {
-		doc.Trace = obs.FromContext(r.Context()).Export(n.self)
-	}
-	writeJSON(w, http.StatusOK, doc)
 }
 
 // hitMiss maps a residency probe's found flag to its span outcome.
@@ -267,56 +144,11 @@ func hitMiss(found bool) obs.Outcome {
 	return obs.OutcomeMiss
 }
 
-func (n *Node) handlePut(w http.ResponseWriter, r *http.Request) {
-	var doc putDoc
-	if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: "malformed body: " + err.Error()})
-		return
-	}
-	cs, ok := n.source(doc.NS)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorDoc{Error: fmt.Sprintf("unknown namespace %q", doc.NS)})
-		return
-	}
-	form, err := url.ParseQuery(doc.Filter)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: "malformed filter: " + err.Error()})
-		return
-	}
-	schema := cs.Schema()
-	pred, err := wdbhttp.ParseFilterForm(schema, form)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
-		return
-	}
-	res := hidden.Result{Overflow: doc.Overflow, Tuples: make([]relation.Tuple, 0, len(doc.Tuples))}
-	for _, td := range doc.Tuples {
-		if len(td.Values) != schema.Len() {
-			writeJSON(w, http.StatusBadRequest, errorDoc{
-				Error: fmt.Sprintf("tuple %d has %d values, schema has %d", td.ID, len(td.Values), schema.Len())})
-			return
-		}
-		res.Tuples = append(res.Tuples, relation.Tuple{ID: td.ID, Values: td.Values})
-	}
-	if status, msg := n.admitFromPeer(cs, doc.NS, pred, res, doc.Epoch, doc.Scope); status == putStatusStale {
-		// 409 is deliberate — a 4xx does not indict the (healthy) sender
-		// or receiver.
-		writeJSON(w, http.StatusConflict, errorDoc{Error: msg})
-		return
-	}
-	var out putRespDoc
-	if r.Header.Get(obs.TraceHeader) != "" {
-		out.Trace = obs.FromContext(r.Context()).Export(n.self)
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// admitFromPeer is the peer-admission core shared by the v1 HTTP
-// handler and the v2 server, so the epoch gate cannot diverge between
-// transports. An untagged put (seq 0: the sender has no epoch registry,
-// e.g. a pre-upgrade binary during a roll) bypasses the gate entirely,
-// mirroring the send side where seqOf==0 sends no tag — rejecting it
-// would starve owners of every answer such peers compute. A put tagged
+// admitFromPeer is the peer-admission core behind opPut. An untagged
+// put (seq 0: the sender has no epoch registry) bypasses the gate
+// entirely, mirroring the send side where seqOf==0 sends no tag —
+// rejecting it would starve owners of every answer such peers
+// compute. A put tagged
 // below the local epoch is refused as stale (the answer may describe
 // the pre-change database, and the wipe that accompanied the bump must
 // stay clean); a sender ahead is adopted — wiping local pre-change
@@ -356,68 +188,44 @@ func (n *Node) admitFromPeer(cs *clusterSource, ns string, pred relation.Predica
 }
 
 func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
-	st := n.Stats()
+	writeJSON(w, http.StatusOK, n.ringDoc())
+}
+
+// ringDoc snapshots membership, health and per-source epochs.
+func (n *Node) ringDoc() ringDoc {
 	doc := ringDoc{
 		Self:         n.self,
 		VirtualNodes: len(n.ring.points) / max(1, len(n.ring.ids)),
-		Peers:        st.Peers,
+		Peers:        n.Stats().Peers,
 	}
-	if n.epochs != nil {
-		doc.Epochs = make(map[string]uint64)
-		n.mu.Lock()
-		for name := range n.sources {
-			seq, scope := n.epochOf(name)
-			doc.Epochs[name] = seq
-			if scope != nil {
-				if doc.Scopes == nil {
-					doc.Scopes = make(map[string]rectDoc)
-				}
-				doc.Scopes[name] = *scope
+	if n.epochs == nil {
+		return doc
+	}
+	n.mu.Lock()
+	names := make([]string, 0, len(n.sources))
+	for name := range n.sources {
+		names = append(names, name)
+	}
+	n.mu.Unlock()
+	doc.Epochs = make(map[string]uint64, len(names))
+	for _, name := range names {
+		seq, scope := n.epochOf(name)
+		doc.Epochs[name] = seq
+		if scope != nil {
+			if doc.Scopes == nil {
+				doc.Scopes = make(map[string]rectDoc)
 			}
+			doc.Scopes[name] = *scope
 		}
-		n.mu.Unlock()
 	}
-	writeJSON(w, http.StatusOK, doc)
+	return doc
 }
 
-// fetchRing pulls a peer's membership + epoch document — over v2 when
-// the peer speaks it, over GET /cluster/ring otherwise.
-func (n *Node) fetchRing(ctx context.Context, id, url string) (ringDoc, error) {
-	if doc, err, handled := n.fetchRingV2(ctx, id); handled {
-		return doc, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/cluster/ring", nil)
-	if err != nil {
-		return ringDoc{}, err
-	}
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return ringDoc{}, err
-	}
-	defer wdbhttp.DrainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return ringDoc{}, fmt.Errorf("cluster: /cluster/ring returned %s", resp.Status)
-	}
-	var doc ringDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return ringDoc{}, err
-	}
-	return doc, nil
-}
-
-func encodeTuples(ts []relation.Tuple) []tupleDoc {
-	out := make([]tupleDoc, 0, len(ts))
-	for _, t := range ts {
-		out = append(out, tupleDoc{ID: t.ID, Values: t.Values})
-	}
-	return out
-}
-
-// peerDownError marks failures that indict the peer itself — transport
-// errors, 5xx responses, unparseable bodies — rather than this one
-// request (a 4xx from a healthy peer with a different source set must
-// not knock it off the ring; flapping ownership would scatter duplicate
-// answers across its successors).
+// peerDownError marks failures that indict the peer itself — a failed
+// dial, a response timeout, a 5xx-family opErr, a response that does
+// not decode — rather than this one request (a 4xx from a healthy peer
+// with a different source set must not knock it off the ring; flapping
+// ownership would scatter duplicate answers across its successors).
 type peerDownError struct{ err error }
 
 func (e *peerDownError) Error() string { return e.err.Error() }
@@ -439,159 +247,22 @@ func isPeerDown(err error) bool {
 // lookup is idempotent, so replaying it is always safe.
 func (n *Node) remoteGet(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, seq uint64) (res hidden.Result, found bool, err error) {
 	err = resilience.Do(ctx, n.retry, func(ctx context.Context) error {
-		res, found, err = n.remoteGetOnce(ctx, owner, ns, schema, p, seq)
+		res, found, err = n.v2Get(ctx, owner, ns, schema, p, seq)
 		return err
 	})
 	return res, found, err
 }
 
-// remoteGetOnce is one lookup attempt: v2 when the owner speaks it,
-// with an in-attempt failover to HTTP when v2 cannot carry the request
-// (v1 peer, dial failure, a persistent connection dying mid-flight) —
-// so a peer restart costs callers a transport switch, never an error.
-func (n *Node) remoteGetOnce(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, seq uint64) (hidden.Result, bool, error) {
-	if res, found, err, handled := n.v2Get(ctx, owner, ns, schema, p, seq); handled {
-		return res, found, err
-	}
-	return n.httpGetOnce(ctx, owner, ns, schema, p, seq)
-}
-
-// httpGetOnce is one lookup attempt over the v1 HTTP endpoint.
-func (n *Node) httpGetOnce(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, seq uint64) (hidden.Result, bool, error) {
-	form := wdbhttp.EncodeFilterForm(schema, p)
-	form.Set("ns", ns)
-	if seq > 0 {
-		form.Set("eseq", strconv.FormatUint(seq, 10))
-		if sc := n.scopeAt(ns, seq); sc != nil {
-			if b, err := json.Marshal(sc); err == nil {
-				form.Set("escope", string(b))
-			}
-		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		n.urls[owner]+"/cluster/get?"+form.Encode(), nil)
-	if err != nil {
-		return hidden.Result{}, false, err
-	}
-	if rid := obs.RequestID(ctx); rid != "" {
-		req.Header.Set(obs.RequestHeader, rid)
-	}
-	tr := obs.FromContext(ctx)
-	if tr != nil {
-		// Ask the owner to return its span subtree alongside the answer;
-		// began anchors the stitched spans on this trace's timeline.
-		req.Header.Set(obs.TraceHeader, "1")
-	}
-	began := time.Now()
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return hidden.Result{}, false, &peerDownError{err: fmt.Errorf("cluster: get from %s: %w", owner, err)}
-	}
-	defer wdbhttp.DrainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		var ed errorDoc
-		_ = json.NewDecoder(resp.Body).Decode(&ed)
-		err := fmt.Errorf("cluster: %s /cluster/get returned %s: %s", owner, resp.Status, ed.Error)
-		if resp.StatusCode >= http.StatusInternalServerError {
-			return hidden.Result{}, false, &peerDownError{err: err}
-		}
-		return hidden.Result{}, false, err
-	}
-	var doc getDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return hidden.Result{}, false, &peerDownError{err: fmt.Errorf("cluster: decode get from %s: %w", owner, err)}
-	}
-	tr.Stitch(doc.Trace, began)
-	n.observeScoped(ns, doc.Epoch, doc.Scope)
-	if !doc.Found {
-		return hidden.Result{}, false, nil
-	}
-	if doc.Epoch > 0 && n.seqOf(ns) > doc.Epoch {
-		// The owner answered under an older epoch than this replica now
-		// serves under (a bump landed since the request went out, or the
-		// owner has not caught up): its residency may predate the change.
-		// Treat it as a miss; the owner converges via our eseq or gossip.
-		return hidden.Result{}, false, nil
-	}
-	res := hidden.Result{Overflow: doc.Overflow, Tuples: make([]relation.Tuple, 0, len(doc.Tuples))}
-	for _, td := range doc.Tuples {
-		if len(td.Values) != schema.Len() {
-			return hidden.Result{}, false, fmt.Errorf("cluster: %s returned tuple %d with %d values, schema has %d",
-				owner, td.ID, len(td.Values), schema.Len())
-		}
-		res.Tuples = append(res.Tuples, relation.Tuple{ID: td.ID, Values: td.Values})
-	}
-	return res, true, nil
-}
-
 // put pushes one answer to a peer's cache synchronously, tagged with the
-// epoch seq it was produced under. Transport failures return a
-// peerDownError; a non-200 (including a 409 stale-epoch rejection)
-// returns a plain error. Peer-indicting failures are retried per
-// Config.Retry — an admission is idempotent (the cache keys on the
-// predicate), so a replay after an ambiguous failure at worst re-admits
-// the same entry.
+// epoch seq it was produced under. Peer-indicting failures return a
+// peerDownError and are retried per Config.Retry — an admission is
+// idempotent (the cache keys on the predicate), so a replay after an
+// ambiguous failure at worst re-admits the same entry; a stale-epoch
+// rejection or a refusal returns a plain, final error.
 func (n *Node) put(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, res hidden.Result, seq uint64) error {
 	return resilience.Do(ctx, n.retry, func(ctx context.Context) error {
-		return n.putOnce(ctx, owner, ns, schema, p, res, seq)
+		return n.v2Put(ctx, owner, ns, schema, p, res, seq)
 	})
-}
-
-// putOnce is one admission attempt: v2 when the owner speaks it, HTTP
-// as the in-attempt failover (see remoteGetOnce).
-func (n *Node) putOnce(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, res hidden.Result, seq uint64) error {
-	if err, handled := n.v2Put(ctx, owner, ns, schema, p, res, seq); handled {
-		return err
-	}
-	return n.httpPutOnce(ctx, owner, ns, schema, p, res, seq)
-}
-
-// httpPutOnce is one admission attempt over the v1 HTTP endpoint.
-func (n *Node) httpPutOnce(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, res hidden.Result, seq uint64) error {
-	body, err := json.Marshal(putDoc{
-		NS:       ns,
-		Filter:   wdbhttp.EncodeFilterForm(schema, p).Encode(),
-		Overflow: res.Overflow,
-		Tuples:   encodeTuples(res.Tuples),
-		Epoch:    seq,
-		// The scope travels only while seq is still the live epoch: it
-		// describes the transition into exactly that seq, and tagging an
-		// older seq with a newer transition's rect would let a receiver
-		// partial-wipe where a full wipe is owed.
-		Scope: n.scopeAt(ns, seq),
-	})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		n.urls[owner]+"/cluster/put", strings.NewReader(string(body)))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if rid := obs.RequestID(ctx); rid != "" {
-		req.Header.Set(obs.RequestHeader, rid)
-	}
-	tr := obs.FromContext(ctx)
-	if tr != nil {
-		req.Header.Set(obs.TraceHeader, "1")
-	}
-	began := time.Now()
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return &peerDownError{err: fmt.Errorf("cluster: put to %s: %w", owner, err)}
-	}
-	if resp.StatusCode == http.StatusOK && tr != nil {
-		var out putRespDoc
-		if err := json.NewDecoder(resp.Body).Decode(&out); err == nil {
-			tr.Stitch(out.Trace, began)
-		}
-	}
-	wdbhttp.DrainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s /cluster/put returned %s", owner, resp.Status)
-	}
-	return nil
 }
 
 // asyncAdmit pushes a locally computed answer to its owner in the

@@ -43,8 +43,8 @@ func TestRectDocRoundTrip(t *testing.T) {
 	}
 	// Malformed wire scopes degrade to "no scope", never to a panic or a
 	// partial wipe of the wrong region.
-	if decodeScopeParam("") != nil || decodeScopeParam("{garbage") != nil {
-		t.Fatal("malformed escope decoded to a rect")
+	if sc := decodeScope(&wireReader{buf: []byte{1, 5}}); sc != nil {
+		t.Fatal("truncated wire scope decoded to a rect")
 	}
 	if _, err := (&rectDoc{Attrs: []int{0, 1}, Lo: []uint64{0}}).rect(); err == nil {
 		t.Fatal("mismatched rectDoc lengths decoded")

@@ -13,82 +13,70 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
-// The client half of peer protocol v2 (see codec.go for the wire format
-// and doc.go for the protocol narrative). Each peer gets a small pool of
-// persistent connections; request IDs multiplex concurrent RPCs over
-// them, so responses return in completion order. Forwarded lookups
+// The client half of the peer transport (see codec.go for the wire
+// format and doc.go for the protocol narrative). Each peer gets a small
+// pool of persistent connections; request IDs multiplex concurrent RPCs
+// over them, so responses return in completion order. Forwarded lookups
 // additionally pass through a per-peer group-commit batcher: the first
 // caller to arrive while no flush is running becomes the flusher and
 // writes its own frame inline (the serial fast path costs no handoff),
 // and callers arriving while that write syscall is in flight queue up
 // and leave in the next flush as one opBatchGet frame.
 //
-// v2 is strictly an optimisation over the v1 HTTP endpoints: any failure
-// to carry a request — the peer negotiated v1, the dial failed, a
-// persistent connection died with the request in flight — surfaces as
-// "unhandled" and the caller re-issues the same request over HTTP, so
-// callers are never dropped and the health/indictment machinery keeps
-// judging peers by the HTTP evidence it already understands.
+// Failure handling follows one rule. A request whose connection dies
+// while its frame is in flight is re-sent on a freshly dialed
+// connection within the same attempt (get and roundTrip loop on
+// connLostError; lookups and puts are idempotent, so the re-send is
+// safe). Every other transport failure — a failed dial, a non-101
+// answer to the upgrade, a failed hello, a response timeout, a response
+// that does not decode, a 5xx-family opErr — is a peerDownError, the
+// verdict that indicts the peer. Redials therefore stop at the first
+// failed dial or at the RPC deadline, whichever comes first.
 
 const (
-	// upgradeProto is the Upgrade token that negotiates v2 on a peer's
-	// ordinary HTTP listener: a v2 server answers 101 and the connection
-	// switches to binary frames; anything else (404 from an older binary,
-	// 503 from a draining one) means the peer doesn't speak v2 now.
+	// upgradeProto is the Upgrade token that switches a connection on a
+	// peer's ordinary HTTP listener to binary frames: the server answers
+	// 101 and both sides speak frames from then on.
 	upgradeProto = "qr2-peer/2"
-	// v1RetryTTL is how long a peer that negotiated v1 is left alone
-	// before the next connect re-probes it (a restart may have upgraded
-	// it; a health revive re-probes immediately).
-	v1RetryTTL = 30 * time.Second
-	// dialRetryTTL spaces re-dials after a failed v2 dial so a dead peer
-	// doesn't eat a connect attempt per forward.
+	// dialRetryTTL spaces re-dials after a failed dial so a dead peer
+	// doesn't eat a connect attempt per forward. The health probe
+	// ignores it (see Node.probe).
 	dialRetryTTL = time.Second
-	// DefaultPeerConns is the per-peer connection pool size.
-	DefaultPeerConns = 2
-	// DefaultMaxBatch caps how many queued lookups one flush coalesces
-	// into a single opBatchGet frame.
-	DefaultMaxBatch = 64
+	// peerConns is the per-peer connection pool size.
+	peerConns = 2
+	// maxBatch caps how many queued lookups one flush coalesces into a
+	// single opBatchGet frame.
+	maxBatch = 64
 )
 
-// A peer's negotiated protocol, as far as this replica knows.
-const (
-	protoUnknown = iota // never connected (or due a re-probe)
-	protoSpeaksV2
-	protoSpeaksV1
-)
+// connLostError reports that the connection carrying a request died
+// with the request in flight: a failed write, a failed read, or the
+// connection closed under it. It never leaves the transport — get and
+// roundTrip re-send the request on a fresh connection instead.
+type connLostError struct{ err error }
 
-func protoName(state int) string {
-	switch state {
-	case protoSpeaksV2:
-		return "v2"
-	case protoSpeaksV1:
-		return "v1"
-	default:
-		return "unknown"
+func (e *connLostError) Error() string { return "cluster: peer connection lost: " + e.err.Error() }
+func (e *connLostError) Unwrap() error { return e.err }
+
+// peerAddr extracts the host:port the transport dials from a peer's
+// base URL. Only plain http URLs qualify: the transport upgrades an
+// ordinary HTTP/1.1 connection and speaks no TLS.
+func peerAddr(raw string) (string, error) {
+	u, err := url.Parse(raw)
+	if err != nil {
+		return "", err
 	}
-}
-
-// errPeerV1 reports that the peer negotiated protocol v1; the caller
-// goes over HTTP, which is not a failure of anything.
-var errPeerV1 = errors.New("cluster: peer does not speak protocol v2")
-
-// transportError marks v2 transport-level failures — dial errors, a
-// connection dying with requests in flight, response timeouts. The
-// caller fails over to HTTP for the same request; only the HTTP
-// attempt's verdict indicts the peer.
-type transportError struct{ err error }
-
-func (e *transportError) Error() string { return "cluster: v2 transport: " + e.err.Error() }
-func (e *transportError) Unwrap() error { return e.err }
-
-// isV2Unavailable reports errors that mean "v2 could not carry this
-// request" — the caller should fall back to HTTP rather than fail.
-func isV2Unavailable(err error) bool {
-	var te *transportError
-	return errors.Is(err, errPeerV1) || errors.As(err, &te)
+	if u.Scheme != "http" || u.Hostname() == "" {
+		return "", fmt.Errorf("want http://host[:port], got %q", raw)
+	}
+	if u.Port() == "" {
+		return net.JoinHostPort(u.Hostname(), "80"), nil
+	}
+	return u.Host, nil
 }
 
 // OccupancyBounds is the batch-occupancy histogram layout: frames
@@ -118,10 +106,10 @@ func occBucket(n int) int {
 	}
 }
 
-// TransportStats is a point-in-time snapshot of the v2 transport.
+// TransportStats is a point-in-time snapshot of the peer transport.
 type TransportStats struct {
 	// FramesSent / FramesRecv count frames both roles moved: RPCs this
-	// replica issued and responses it received, plus requests its v2
+	// replica issued and responses it received, plus requests its frame
 	// server handled and answers it wrote.
 	FramesSent int64 `json:"frames_sent"`
 	FramesRecv int64 `json:"frames_recv"`
@@ -132,80 +120,55 @@ type TransportStats struct {
 	// BatchOccupancy histograms flush sizes: le-1, 2, 4, 8, 16, 32, 64,
 	// +Inf (see OccupancyBounds).
 	BatchOccupancy []int64 `json:"batch_occupancy"`
-	// HTTPFallbacks counts requests v2 accepted but could not complete
-	// (connection died, dial failed, response timed out) that were
-	// re-issued over HTTP. Requests to known-v1 peers are not fallbacks.
-	HTTPFallbacks int64 `json:"http_fallbacks"`
-	// V2Dials / V2DialFails count persistent-connection dials.
+	// V2Dials / V2DialFails count persistent-connection dials, the
+	// redials that replace a connection lost mid-request included.
 	V2Dials     int64 `json:"v2_dials"`
 	V2DialFails int64 `json:"v2_dial_fails"`
-	// Peers reports each peer's negotiated protocol and live conns.
+	// Peers reports each peer's live pooled connections.
 	Peers []PeerTransportStats `json:"peers,omitempty"`
 }
 
 // PeerTransportStats is one peer's transport state.
 type PeerTransportStats struct {
 	ID    string `json:"id"`
-	Proto string `json:"proto"` // "v2", "v1", "unknown"
 	Conns int    `json:"conns"`
 }
 
-// transport owns the v2 client state for every peer plus the shared
-// counters (the v2 server increments the frame counters too, so one
+// transport owns the client state for every peer plus the shared
+// counters (the frame server increments the frame counters too, so one
 // snapshot describes both roles).
 type transport struct {
 	node       *Node
 	rpcTimeout time.Duration
-	poolSize   int
-	maxBatch   int
 	// batchWindow > 0 makes each flusher linger before draining,
-	// trading latency for bigger batches. 0 (the default) is pure
-	// group commit: batches form only from arrivals during the
-	// in-flight write, which costs serial callers nothing.
+	// trading latency for bigger batches. 0 is pure group commit:
+	// batches form only from arrivals during the in-flight write, which
+	// costs serial callers nothing. Only tests that need wide batches
+	// deterministically set it.
 	batchWindow time.Duration
 
 	peers map[string]*peerTransport // immutable after construction
 
-	framesSent    atomic.Int64
-	framesRecv    atomic.Int64
-	batchesSent   atomic.Int64
-	batchedGets   atomic.Int64
-	occupancy     [8]atomic.Int64
-	httpFallbacks atomic.Int64
-	v2Dials       atomic.Int64
-	v2DialFails   atomic.Int64
+	framesSent  atomic.Int64
+	framesRecv  atomic.Int64
+	batchesSent atomic.Int64
+	batchedGets atomic.Int64
+	occupancy   [8]atomic.Int64
+	v2Dials     atomic.Int64
+	v2DialFails atomic.Int64
 }
 
-func newTransport(n *Node, cfg Config) *transport {
+// newTransport builds the client state for every peer; addrs maps each
+// peer id (self excluded) to the host:port New validated.
+func newTransport(n *Node, addrs map[string]string) *transport {
 	t := &transport{
-		node:        n,
-		rpcTimeout:  2 * time.Second,
-		poolSize:    cfg.PeerConns,
-		maxBatch:    cfg.MaxBatch,
-		batchWindow: cfg.BatchWindow,
-		peers:       make(map[string]*peerTransport),
+		node:       n,
+		rpcTimeout: 2 * time.Second,
+		peers:      make(map[string]*peerTransport, len(addrs)),
 	}
-	if n.hc.Timeout > 0 {
-		t.rpcTimeout = n.hc.Timeout
-	}
-	if t.poolSize <= 0 {
-		t.poolSize = DefaultPeerConns
-	}
-	if t.maxBatch <= 0 {
-		t.maxBatch = DefaultMaxBatch
-	}
-	if t.maxBatch > maxBatchWire {
-		t.maxBatch = maxBatchWire
-	}
-	for id, raw := range n.urls {
-		if id == n.self {
-			continue
-		}
-		pt := &peerTransport{t: t, id: id}
-		if u, err := url.Parse(raw); err == nil && u.Scheme == "http" && u.Host != "" {
-			pt.addr, pt.ok = u.Host, true
-		}
-		pt.slots = make([]*connSlot, t.poolSize)
+	for id, addr := range addrs {
+		pt := &peerTransport{t: t, id: id, addr: addr}
+		pt.slots = make([]*connSlot, peerConns)
 		for i := range pt.slots {
 			pt.slots[i] = &connSlot{pt: pt}
 		}
@@ -215,36 +178,15 @@ func newTransport(n *Node, cfg Config) *transport {
 }
 
 // peer returns the transport state for a peer id (nil for self/unknown).
-func (t *transport) peer(id string) *peerTransport {
-	if t == nil {
-		return nil
-	}
-	return t.peers[id]
-}
-
-// reset re-arms v2 probing for a peer — the health prober calls it on
-// revive, since a restart is exactly when a v1 peer may have become v2
-// (or vice versa; the next dial renegotiates either way).
-func (t *transport) reset(id string) {
-	if pt := t.peer(id); pt != nil {
-		pt.mu.Lock()
-		pt.state = protoUnknown
-		pt.retryAt = time.Time{}
-		pt.gen++
-		pt.mu.Unlock()
-	}
-}
+func (t *transport) peer(id string) *peerTransport { return t.peers[id] }
 
 // close tears down every pooled connection (tests and shutdown).
 func (t *transport) close() {
-	if t == nil {
-		return
-	}
 	for _, pt := range t.peers {
 		for _, s := range pt.slots {
 			s.mu.Lock()
 			if s.pc != nil {
-				s.pc.fail(&transportError{err: errors.New("transport closed")})
+				s.pc.fail(&connLostError{err: errors.New("transport closed")})
 				s.pc = nil
 			}
 			s.mu.Unlock()
@@ -254,17 +196,13 @@ func (t *transport) close() {
 
 // stats snapshots the transport counters.
 func (t *transport) stats() *TransportStats {
-	if t == nil {
-		return nil
-	}
 	st := &TransportStats{
-		FramesSent:    t.framesSent.Load(),
-		FramesRecv:    t.framesRecv.Load(),
-		BatchesSent:   t.batchesSent.Load(),
-		BatchedGets:   t.batchedGets.Load(),
-		HTTPFallbacks: t.httpFallbacks.Load(),
-		V2Dials:       t.v2Dials.Load(),
-		V2DialFails:   t.v2DialFails.Load(),
+		FramesSent:  t.framesSent.Load(),
+		FramesRecv:  t.framesRecv.Load(),
+		BatchesSent: t.batchesSent.Load(),
+		BatchedGets: t.batchedGets.Load(),
+		V2Dials:     t.v2Dials.Load(),
+		V2DialFails: t.v2DialFails.Load(),
 	}
 	st.BatchOccupancy = make([]int64, len(t.occupancy))
 	for i := range t.occupancy {
@@ -275,9 +213,7 @@ func (t *transport) stats() *TransportStats {
 		if pt == nil {
 			continue
 		}
-		pt.mu.Lock()
-		row := PeerTransportStats{ID: id, Proto: protoName(pt.state)}
-		pt.mu.Unlock()
+		row := PeerTransportStats{ID: id}
 		for _, s := range pt.slots {
 			s.mu.Lock()
 			if s.pc != nil && !s.pc.isDead() {
@@ -290,22 +226,20 @@ func (t *transport) stats() *TransportStats {
 	return st
 }
 
-// peerTransport is one peer's connection pool, negotiation state, and
-// lookup batcher.
+// peerTransport is one peer's connection pool, dial backoff, and lookup
+// batcher.
 type peerTransport struct {
 	t    *transport
 	id   string
 	addr string // host:port from the peer's base URL
-	ok   bool   // addr parsed and scheme is plain http
 
 	mu      sync.Mutex
-	state   int
-	retryAt time.Time // no connect attempts before this (v1 TTL, dial backoff)
-	// gen increments on every reset. A dial records the generation it
-	// started under and its negative verdict (v1, backoff) applies only
-	// if no reset intervened — otherwise a probe that began against the
-	// dying process would overwrite the revive and park the restarted
-	// (possibly upgraded) peer on v1 for the full TTL.
+	retryAt time.Time // no dials before this (backoff after a failed dial)
+	// gen increments every time the backoff is cleared. A dial records
+	// the generation it started under and arms the backoff on failure
+	// only if no clear intervened — otherwise a dial that began against
+	// the dying process would park the restarted peer behind a backoff
+	// the revive probe had just lifted.
 	gen   uint64
 	slots []*connSlot
 	next  int
@@ -332,41 +266,6 @@ type connSlot struct {
 	pc *peerConn
 }
 
-// usable reports whether v2 should be attempted for this peer now, and
-// flips an expired v1 verdict back to unknown so the next dial
-// re-probes.
-func (pt *peerTransport) usable() bool {
-	if pt == nil || !pt.ok {
-		return false
-	}
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	if pt.state == protoSpeaksV2 {
-		return true
-	}
-	if time.Now().Before(pt.retryAt) {
-		return false
-	}
-	pt.state = protoUnknown
-	return true
-}
-
-func (pt *peerTransport) markV2() {
-	pt.mu.Lock()
-	pt.state = protoSpeaksV2
-	pt.retryAt = time.Time{}
-	pt.mu.Unlock()
-}
-
-func (pt *peerTransport) markV1(gen uint64) {
-	pt.mu.Lock()
-	if pt.gen == gen {
-		pt.state = protoSpeaksV1
-		pt.retryAt = time.Now().Add(v1RetryTTL)
-	}
-	pt.mu.Unlock()
-}
-
 func (pt *peerTransport) dialBackoff(gen uint64) {
 	pt.mu.Lock()
 	if pt.gen == gen {
@@ -375,8 +274,17 @@ func (pt *peerTransport) dialBackoff(gen uint64) {
 	pt.mu.Unlock()
 }
 
-// conn returns a live pooled connection, dialing (and negotiating) if
-// the chosen slot's connection is absent or dead.
+// clearBackoff lifts the dial backoff and voids the verdict of any dial
+// already in flight.
+func (pt *peerTransport) clearBackoff() {
+	pt.mu.Lock()
+	pt.retryAt = time.Time{}
+	pt.gen++
+	pt.mu.Unlock()
+}
+
+// conn returns a live pooled connection, dialing if the chosen slot's
+// connection is absent or dead.
 func (pt *peerTransport) conn(ctx context.Context) (*peerConn, error) {
 	pt.mu.Lock()
 	slot := pt.slots[pt.next%len(pt.slots)]
@@ -396,53 +304,55 @@ func (pt *peerTransport) conn(ctx context.Context) (*peerConn, error) {
 }
 
 // dial opens a TCP connection to the peer's ordinary HTTP listener and
-// negotiates v2: an Upgrade request, a 101 response, then a hello /
-// helloAck exchange that pins the magic and version. Any non-101
-// response is the version-negotiation fallback — the peer is a v1
-// binary (or fronted by something that refused the upgrade) and is left
-// alone for v1RetryTTL.
+// upgrades it: an Upgrade request, a 101 response, then a hello /
+// helloAck exchange that pins the magic and version. A refused connect,
+// a non-101 answer, a wrong hello, or a handshake that times out is a
+// peerDownError and arms the dial backoff; inside the backoff window
+// dial fails at once without touching the network. A connection that
+// drops mid-handshake (EOF, reset) is a connLostError like any other
+// lost connection: the peer accepted it, so the caller redials.
 func (pt *peerTransport) dial(ctx context.Context) (*peerConn, error) {
 	t := pt.t
-	t.v2Dials.Add(1)
 	pt.mu.Lock()
-	gen := pt.gen
+	gen, backoff := pt.gen, time.Now().Before(pt.retryAt)
 	pt.mu.Unlock()
+	if backoff {
+		return nil, &peerDownError{err: fmt.Errorf("cluster: %s: dial backoff after a failed dial", pt.id)}
+	}
+	t.v2Dials.Add(1)
+	var c net.Conn
+	failed := func(err error) (*peerConn, error) {
+		if c != nil {
+			c.Close()
+		}
+		t.v2DialFails.Add(1)
+		err = fmt.Errorf("cluster: dial %s: %w", pt.id, err)
+		if connDropped(err) {
+			return nil, &connLostError{err: err}
+		}
+		pt.dialBackoff(gen)
+		return nil, &peerDownError{err: err}
+	}
 	d := net.Dialer{Timeout: t.rpcTimeout}
 	c, err := d.DialContext(ctx, "tcp", pt.addr)
 	if err != nil {
-		t.v2DialFails.Add(1)
-		pt.dialBackoff(gen)
-		return nil, &transportError{err: err}
+		return failed(err)
 	}
-	deadline := time.Now().Add(t.rpcTimeout)
-	_ = c.SetDeadline(deadline)
+	_ = c.SetDeadline(time.Now().Add(t.rpcTimeout))
 	req := "GET /cluster/v2 HTTP/1.1\r\nHost: " + pt.addr +
 		"\r\nConnection: Upgrade\r\nUpgrade: " + upgradeProto + "\r\n\r\n"
 	if _, err := c.Write([]byte(req)); err != nil {
-		c.Close()
-		t.v2DialFails.Add(1)
-		pt.dialBackoff(gen)
-		return nil, &transportError{err: err}
+		return failed(err)
 	}
 	br := bufio.NewReaderSize(c, 64<<10)
-	httpReq, _ := http.NewRequest(http.MethodGet, "http://"+pt.addr+"/cluster/v2", nil)
-	resp, err := http.ReadResponse(br, httpReq)
+	resp, err := http.ReadResponse(br, nil)
 	if err != nil {
-		c.Close()
-		t.v2DialFails.Add(1)
-		pt.dialBackoff(gen)
-		return nil, &transportError{err: err}
-	}
-	if resp.StatusCode != http.StatusSwitchingProtocols {
-		// The fallback path of version negotiation: drain politely and
-		// remember the verdict so forwards stop paying this probe.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-		c.Close()
-		pt.markV1(gen)
-		return nil, errPeerV1
+		return failed(err)
 	}
 	resp.Body.Close()
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		return failed(fmt.Errorf("upgrade answered %s", resp.Status))
+	}
 	// Application-level handshake on the upgraded stream.
 	var w wireWriter
 	start := beginFrame(&w, opHello, 0, 0)
@@ -451,34 +361,38 @@ func (pt *peerTransport) dial(ctx context.Context) (*peerConn, error) {
 	w.str(t.node.self)
 	endFrame(&w, start)
 	if _, err := c.Write(w.buf); err != nil {
-		c.Close()
-		t.v2DialFails.Add(1)
-		pt.dialBackoff(gen)
-		return nil, &transportError{err: err}
+		return failed(err)
 	}
 	f, err := readFrame(br)
-	if err != nil || f.op != opHelloAck {
-		c.Close()
-		t.v2DialFails.Add(1)
-		pt.dialBackoff(gen)
-		if err == nil {
-			err = fmt.Errorf("cluster: handshake got op %d, want helloAck", f.op)
-		}
-		return nil, &transportError{err: err}
+	if err != nil {
+		return failed(err)
+	}
+	if f.op != opHelloAck {
+		return failed(fmt.Errorf("handshake got op %d, want helloAck", f.op))
 	}
 	ar := &wireReader{buf: f.payload}
 	version := ar.uvarint()
 	ar.str() // peer's self id; informational
 	if ar.err != nil || version < protoV2 {
-		c.Close()
-		pt.markV1(gen)
-		return nil, errPeerV1
+		return failed(fmt.Errorf("handshake: version %d, decode error %v", version, ar.err))
 	}
 	_ = c.SetDeadline(time.Time{})
 	pc := &peerConn{pt: pt, c: c, pending: make(map[uint64]*pcall)}
 	go pc.readLoop(br)
-	pt.markV2()
 	return pc, nil
+}
+
+// connDropped reports whether a handshake I/O error means the
+// established connection died under the dial rather than the peer
+// answering wrongly or too slowly.
+func connDropped(err error) bool {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return false
+	}
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) ||
+		errors.Is(err, net.ErrClosed)
 }
 
 // peerConn is one live multiplexed connection: a write mutex serializes
@@ -566,7 +480,7 @@ func (pc *peerConn) untrack(id uint64) {
 }
 
 // fail kills the connection and delivers err to every in-flight caller —
-// the moment that turns a peer death into per-request HTTP failovers
+// the moment that turns a dying connection into per-request redials
 // instead of dropped callers.
 func (pc *peerConn) fail(err error) {
 	pc.mu.Lock()
@@ -607,7 +521,7 @@ func (pc *peerConn) send(buf []byte) error {
 	_, err := pc.c.Write(buf)
 	pc.wmu.Unlock()
 	if err != nil {
-		werr := &transportError{err: err}
+		werr := &connLostError{err: err}
 		pc.fail(werr)
 		return werr
 	}
@@ -620,7 +534,7 @@ func (pc *peerConn) readLoop(br *bufio.Reader) {
 	for {
 		f, err := readFrame(br)
 		if err != nil {
-			pc.fail(&transportError{err: err})
+			pc.fail(&connLostError{err: err})
 			return
 		}
 		pc.pt.t.framesRecv.Add(1)
@@ -643,22 +557,22 @@ func (pc *peerConn) readLoop(br *bufio.Reader) {
 }
 
 // deliverBatch splits one opBatchResp frame back out to the callers
-// whose lookups were coalesced into the batch. A whole-batch opErr (or
-// a malformed response) fails every entry; a malformed response is a
-// transport error so callers re-issue over HTTP.
+// whose lookups were coalesced into the batch. A whole-batch opErr
+// fails every entry; a malformed response indicts the peer for every
+// entry it cannot answer.
 func deliverBatch(batch []*batchCall, f frame) {
 	if f.op == opErr {
 		failBatch(batch, decodeWireErr(f.payload))
 		return
 	}
 	if f.op != opBatchResp {
-		failBatch(batch, &transportError{err: fmt.Errorf("cluster: batch answered with op %d", f.op)})
+		failBatch(batch, &peerDownError{err: fmt.Errorf("cluster: batch answered with op %d", f.op)})
 		return
 	}
 	r := &wireReader{buf: f.payload}
 	n := r.count("batch entries", 2)
 	if r.err != nil || n != len(batch) {
-		failBatch(batch, &transportError{err: fmt.Errorf("cluster: batch of %d answered with %d entries", len(batch), n)})
+		failBatch(batch, &peerDownError{err: fmt.Errorf("cluster: batch of %d answered with %d entries", len(batch), n)})
 		return
 	}
 	for i := 0; i < n; i++ {
@@ -666,7 +580,7 @@ func deliverBatch(batch []*batchCall, f frame) {
 		blob := r.blob()
 		if r.err != nil {
 			for _, bc := range batch[i:] {
-				bc.ch <- pcallResult{err: &transportError{err: r.err}}
+				bc.ch <- pcallResult{err: &peerDownError{err: r.err}}
 			}
 			return
 		}
@@ -678,15 +592,21 @@ func deliverBatch(batch []*batchCall, f frame) {
 	}
 }
 
-// decodeWireErr decodes an opErr payload (code + message).
+// decodeWireErr decodes an opErr payload (code + message). A
+// 5xx-family code — or an error frame that does not decode — indicts
+// the peer; any other code is request-scoped and returned as is.
 func decodeWireErr(payload []byte) error {
 	r := &wireReader{buf: payload}
 	code := r.uvarint()
 	msg := r.str()
 	if r.err != nil {
-		return &transportError{err: fmt.Errorf("cluster: malformed error frame: %w", r.err)}
+		return &peerDownError{err: fmt.Errorf("cluster: malformed error frame: %w", r.err)}
 	}
-	return &wireError{code: int(code), msg: msg}
+	we := &wireError{code: int(code), msg: msg}
+	if we.code >= http.StatusInternalServerError {
+		return &peerDownError{err: we}
+	}
+	return we
 }
 
 // readFrame reads one length-delimited frame. Frame-layer violations
@@ -726,9 +646,9 @@ func readFrameReuse(br *bufio.Reader, scratch []byte) (frame, []byte, error) {
 }
 
 // wait blocks for a tracked request's response, honouring the caller's
-// context and the transport's RPC timeout.
-func (pc *peerConn) wait(ctx context.Context, id uint64, ch chan pcallResult) (pcallResult, error) {
-	timer := time.NewTimer(pc.pt.t.rpcTimeout)
+// context and the remaining RPC budget.
+func (pc *peerConn) wait(ctx context.Context, id uint64, ch chan pcallResult, timeout time.Duration) (pcallResult, error) {
+	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case r := <-ch:
@@ -744,13 +664,47 @@ func (pc *peerConn) wait(ctx context.Context, id uint64, ch chan pcallResult) (p
 		return pcallResult{}, ctx.Err()
 	case <-timer.C:
 		pc.untrack(id)
-		return pcallResult{}, &transportError{err: fmt.Errorf("cluster: v2 response timeout from %s", pc.pt.id)}
+		return pcallResult{}, &peerDownError{err: fmt.Errorf("cluster: response timeout from %s", pc.pt.id)}
 	}
 }
 
+// redial decides what follows a failed send: a lost connection is
+// re-sent — conn replaces the dead connection with a fresh dial — for
+// as long as the RPC deadline leaves time, and the returned timeout is
+// that remaining budget. Any other error ends the RPC and is returned.
+func (pt *peerTransport) redial(ctx context.Context, deadline time.Time, err error) (time.Duration, error) {
+	var lost *connLostError
+	if !errors.As(err, &lost) {
+		return 0, err
+	}
+	if ctx.Err() != nil {
+		return 0, ctx.Err()
+	}
+	left := time.Until(deadline)
+	if left <= 0 {
+		return 0, &peerDownError{err: fmt.Errorf("cluster: %s: no answer within %v: %w", pt.id, pt.t.rpcTimeout, err)}
+	}
+	return left, nil
+}
+
 // roundTrip issues one unbatched RPC (put, ring, obs) and waits for its
-// response frame.
+// response frame, re-sending it while its connection keeps dying (see
+// redial).
 func (pt *peerTransport) roundTrip(ctx context.Context, op byte, body func(w *wireWriter)) (pcallResult, error) {
+	timeout := pt.t.rpcTimeout
+	deadline := time.Now().Add(timeout)
+	for {
+		r, err := pt.roundTripOnce(ctx, op, body, timeout)
+		if err == nil {
+			return r, nil
+		}
+		if timeout, err = pt.redial(ctx, deadline, err); err != nil {
+			return pcallResult{}, err
+		}
+	}
+}
+
+func (pt *peerTransport) roundTripOnce(ctx context.Context, op byte, body func(w *wireWriter), timeout time.Duration) (pcallResult, error) {
 	pc, err := pt.conn(ctx)
 	if err != nil {
 		return pcallResult{}, err
@@ -767,13 +721,9 @@ func (pt *peerTransport) roundTrip(ctx context.Context, op byte, body func(w *wi
 	if err := pc.send(w.buf); err != nil {
 		return pcallResult{}, err // fail() already delivered to in-flight callers
 	}
-	return pc.wait(ctx, id, call.ch)
+	return pc.wait(ctx, id, call.ch, timeout)
 }
 
-// get runs one forwarded lookup through the batcher: enqueue, take the
-// flusher role if it is free, then wait for the fan-out. The entry
-// payload must be a complete opGet body (ns, epoch, scope, wantTrace,
-// predicate).
 // rpcTimers recycles timeout timers across lookups; a fresh timer per
 // forwarded get is two allocations on the hottest path in the package.
 var rpcTimers = sync.Pool{}
@@ -802,7 +752,28 @@ func releaseTimer(t *time.Timer) {
 	rpcTimers.Put(t)
 }
 
+// get runs one forwarded lookup through the batcher, re-sending it
+// while its connection keeps dying (see redial). The entry payload must
+// be a complete opGet body (ns, epoch, scope, wantTrace, predicate); a
+// re-send reuses it, which is safe because a lost connection's error
+// reaches a caller only after its entry left the queue for a frame.
 func (pt *peerTransport) get(ctx context.Context, entry []byte) (pcallResult, error) {
+	timeout := pt.t.rpcTimeout
+	deadline := time.Now().Add(timeout)
+	for {
+		r, err := pt.getOnce(ctx, entry, timeout)
+		if err == nil {
+			return r, nil
+		}
+		if timeout, err = pt.redial(ctx, deadline, err); err != nil {
+			return pcallResult{}, err
+		}
+	}
+}
+
+// getOnce enqueues the lookup, takes the flusher role if it is free,
+// then waits for the fan-out.
+func (pt *peerTransport) getOnce(ctx context.Context, entry []byte, timeout time.Duration) (pcallResult, error) {
 	bc := acquireBatchCall(entry)
 	pt.mu.Lock()
 	pt.queue = append(pt.queue, bc)
@@ -814,7 +785,7 @@ func (pt *peerTransport) get(ctx context.Context, entry []byte) (pcallResult, er
 	if leader {
 		pt.flush(ctx)
 	}
-	timer := acquireTimer(pt.t.rpcTimeout)
+	timer := acquireTimer(timeout)
 	defer releaseTimer(timer)
 	select {
 	case r := <-bc.ch:
@@ -833,15 +804,16 @@ func (pt *peerTransport) get(ctx context.Context, entry []byte) (pcallResult, er
 	case <-timer.C:
 		// A frame unanswered for the full RPC timeout means the connection
 		// has lost a response: kill it so its in-flight slot releases and
-		// queued lookups behind the wedge drain instead of starving.
+		// queued lookups behind the wedge drain instead of starving. The
+		// other callers on it redial; this one's budget is spent.
+		err := fmt.Errorf("cluster: response timeout from %s", pt.id)
 		pt.mu.Lock()
 		wedged := pt.inflightConn
 		pt.mu.Unlock()
-		err := &transportError{err: fmt.Errorf("cluster: v2 response timeout from %s", pt.id)}
 		if wedged != nil {
-			wedged.fail(err)
+			wedged.fail(&connLostError{err: err})
 		}
-		return pcallResult{}, err
+		return pcallResult{}, &peerDownError{err: err}
 	}
 }
 
@@ -883,9 +855,9 @@ func (pt *peerTransport) flush(ctx context.Context) {
 			return
 		}
 		batch := pt.queue
-		if len(batch) > pt.t.maxBatch {
-			pt.queue = append([]*batchCall(nil), batch[pt.t.maxBatch:]...)
-			batch = batch[:pt.t.maxBatch]
+		if len(batch) > maxBatch {
+			pt.queue = append([]*batchCall(nil), batch[maxBatch:]...)
+			batch = batch[:maxBatch]
 		} else {
 			pt.queue = nil
 		}

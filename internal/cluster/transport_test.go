@@ -39,8 +39,8 @@ func transportOf(t testing.TB, r *replica) *TransportStats {
 	return ts
 }
 
-// TestV2NegotiationAndConnReuse: the first forward upgrades to v2 on the
-// peer's ordinary HTTP listener; later forwards reuse the pooled
+// TestV2NegotiationAndConnReuse: the first forward upgrades a connection
+// on the peer's ordinary HTTP listener; later forwards reuse the pooled
 // connections instead of dialing per request.
 func TestV2NegotiationAndConnReuse(t *testing.T) {
 	reps := newCluster(t, 2)
@@ -55,7 +55,7 @@ func TestV2NegotiationAndConnReuse(t *testing.T) {
 		}
 	}
 	a.node.Quiesce()
-	// Serve the same set repeatedly: all forward hits over v2.
+	// Serve the same set repeatedly: all forward hits over pooled conns.
 	for round := 0; round < 3; round++ {
 		for _, p := range preds {
 			if _, err := a.db.Search(ctx, p); err != nil {
@@ -64,83 +64,29 @@ func TestV2NegotiationAndConnReuse(t *testing.T) {
 		}
 	}
 	st := transportOf(t, a)
-	if st.V2Dials == 0 || st.V2Dials > int64(DefaultPeerConns) {
-		t.Fatalf("%d forwards dialed %d times, want 1..%d (pooled reuse)", 4*len(preds), st.V2Dials, DefaultPeerConns)
+	if st.V2Dials == 0 || st.V2Dials > peerConns {
+		t.Fatalf("%d forwards dialed %d times, want 1..%d (pooled reuse)", 4*len(preds), st.V2Dials, peerConns)
 	}
 	if st.FramesSent == 0 || st.FramesRecv == 0 {
 		t.Fatalf("no frames moved: %+v", st)
 	}
-	if st.HTTPFallbacks != 0 {
-		t.Fatalf("v2-capable peer caused %d HTTP fallbacks", st.HTTPFallbacks)
+	if st.V2DialFails != 0 {
+		t.Fatalf("healthy peer failed %d dials", st.V2DialFails)
 	}
-	for _, ps := range st.Peers {
-		if ps.ID == b.id && ps.Proto != "v2" {
-			t.Fatalf("peer %s negotiated %q, want v2", ps.ID, ps.Proto)
-		}
+	if conns := liveConns(st, b.id); conns == 0 {
+		t.Fatalf("no live connection to peer %s: %+v", b.id, st)
 	}
 	if ns := a.node.Stats(); ns.ForwardHits < int64(3*len(preds)) {
 		t.Fatalf("expected %d forward hits: %+v", 3*len(preds), ns)
 	}
 }
 
-// TestV1PeerInterop: a mixed-version ring. Replica b runs with v2
-// disabled (an older binary): a's upgrade probe gets a plain 404, a
-// remembers the verdict, and every forward between them travels over the
-// v1 HTTP endpoints — same answers, no fallback accounting, no error.
-func TestV1PeerInterop(t *testing.T) {
-	reps := newCluster(t, 2, func(c *Config) {
-		if c.Self == "b" {
-			c.DisableV2 = true
-		}
-	})
-	ctx := context.Background()
-	a, b := reps[0], reps[1]
-
-	aOwned := predsOwnedBy(t, reps, a.id, 2)
-	bOwned := predsOwnedBy(t, reps, b.id, 2)
-
-	// Both directions: a→b goes HTTP after the failed upgrade probe;
-	// b→a is a v1 client talking to a v2-capable server's v1 endpoints.
-	for _, p := range bOwned {
-		if _, err := a.db.Search(ctx, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.node.Quiesce()
-	for _, p := range aOwned {
-		if _, err := b.db.Search(ctx, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.node.Quiesce()
-	for _, p := range bOwned {
-		if _, err := a.db.Search(ctx, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := transportOf(t, a)
-	for _, ps := range st.Peers {
-		if ps.ID == b.id && ps.Proto != "v1" {
-			t.Fatalf("v2-disabled peer negotiated %q, want v1", ps.Proto)
-		}
-	}
-	if st.HTTPFallbacks != 0 {
-		t.Fatalf("known-v1 peer counted as fallback: %+v", st)
-	}
-	if bs := b.node.Stats(); bs.Transport != nil {
-		t.Fatalf("v2-disabled node grew a transport: %+v", bs.Transport)
-	}
-	if as := a.node.Stats(); as.ForwardHits == 0 {
-		t.Fatalf("mixed-version forwards did not hit: %+v", as)
-	}
-}
-
 // TestInFlightFailoverNoDroppedCallers: persistent connections are
 // severed over and over while concurrent forwards are in flight. Every
-// caller whose frame dies mid-connection must fail over to HTTP within
+// caller whose frame dies mid-connection must redial and re-send within
 // its own attempt: zero search errors, zero extra web queries, zero
-// fallback-local serves — the owner's HTTP endpoints are up the whole
-// time, only the v2 transport is being murdered.
+// fallback-local serves — the owner accepts new connections the whole
+// time, only its established ones are being murdered.
 func TestInFlightFailoverNoDroppedCallers(t *testing.T) {
 	reps := newCluster(t, 2)
 	ctx := context.Background()
@@ -195,8 +141,8 @@ func TestInFlightFailoverNoDroppedCallers(t *testing.T) {
 
 // TestPeerRestartRenegotiates: a full peer death (HTTP down + conns
 // severed) degrades cleanly under concurrent load, and after the revive
-// probe the transport renegotiates v2 rather than staying parked on the
-// v1 verdict it formed while the peer was a 503.
+// probe the transport dials the peer again rather than staying parked
+// on the dial backoff it formed while the peer answered 503.
 func TestPeerRestartRenegotiates(t *testing.T) {
 	reps := newCluster(t, 2)
 	ctx := context.Background()
@@ -244,9 +190,9 @@ func TestPeerRestartRenegotiates(t *testing.T) {
 	// Deterministic final pass on fresh predicates (anything from preds
 	// is a's local stray by now and would never touch the transport):
 	// kill → a forward passively indicts b (served locally, so it cannot
-	// fail) → revive probe fires the hook that re-arms v2 → the next
-	// forward renegotiates instead of staying parked on the outage-era
-	// v1 verdict or dial backoff.
+	// fail) → the revive probe clears the dial backoff and reconnects →
+	// the next forward rides a live connection instead of staying parked
+	// on the outage-era backoff.
 	b.kill()
 	if _, err := a.db.Search(ctx, indict); err != nil {
 		t.Fatalf("search during outage: %v", err)
@@ -261,10 +207,26 @@ func TestPeerRestartRenegotiates(t *testing.T) {
 	}
 	a.node.Quiesce()
 	st := transportOf(t, a)
+	if conns := liveConns(st, b.id); conns == 0 {
+		t.Fatalf("after revive no live connection to peer %s: %+v", b.id, st)
+	}
+}
+
+// liveConns reports the live pooled connections to one peer.
+func liveConns(st *TransportStats, id string) int {
 	for _, ps := range st.Peers {
-		if ps.ID == b.id && ps.Proto != "v2" {
-			t.Fatalf("after revive peer %s speaks %q, want v2 again: %+v", ps.ID, ps.Proto, st)
+		if ps.ID == id {
+			return ps.Conns
 		}
+	}
+	return 0
+}
+
+// setBatchWindow makes every replica's batch flushers linger, so tests
+// that need wide batches get them deterministically.
+func setBatchWindow(reps []*replica, d time.Duration) {
+	for _, r := range reps {
+		r.node.transport.batchWindow = d
 	}
 }
 
@@ -272,9 +234,8 @@ func TestPeerRestartRenegotiates(t *testing.T) {
 // opBatchGet frames instead of a frame per lookup, and every caller
 // still gets its own correct answer.
 func TestBatchCoalescing(t *testing.T) {
-	reps := newCluster(t, 2, func(c *Config) {
-		c.BatchWindow = 3 * time.Millisecond // force wide batches: determinism over latency
-	})
+	reps := newCluster(t, 2)
+	setBatchWindow(reps, 3*time.Millisecond) // force wide batches: determinism over latency
 	ctx := context.Background()
 	a, b := reps[0], reps[1]
 	preds := predsOwnedBy(t, reps, b.id, 16)
@@ -329,9 +290,8 @@ func TestBatchCoalescing(t *testing.T) {
 // the owner's conns are concurrently severed — the coalescer must neither
 // deadlock, nor double-deliver, nor drop a caller (run under -race).
 func TestBatchCoalescingRace(t *testing.T) {
-	reps := newCluster(t, 2, func(c *Config) {
-		c.BatchWindow = 200 * time.Microsecond
-	})
+	reps := newCluster(t, 2)
+	setBatchWindow(reps, 200*time.Microsecond)
 	ctx := context.Background()
 	a, b := reps[0], reps[1]
 	preds := predsOwnedBy(t, reps, b.id, 8)

@@ -2,10 +2,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"net/http"
 	"time"
 
 	"repro/internal/hidden"
@@ -13,49 +10,30 @@ import (
 	"repro/internal/relation"
 )
 
-// Typed client RPCs over peer protocol v2. Every call returns a
-// `handled` flag alongside its result: false means v2 could not carry
-// the request at all — the transport is disabled, the peer negotiated
-// v1, the dial failed, or a persistent connection died with the frame
-// in flight — and the caller must re-issue the identical request over
-// the v1 HTTP endpoint. That retry-on-another-transport is what keeps
-// callers alive through a peer restart: the dying connection fails all
-// its in-flight calls, each falls over to HTTP within the same attempt,
-// and only the HTTP verdict decides whether the peer is indicted.
-//
-// handled=true means a v2 response (or a definitive protocol error)
-// arrived, and its error mapping mirrors v1 exactly: an opErr in the
-// 5xx family — or a malformed response body — indicts the peer like a
-// transport failure would; a 4xx-family opErr and a stale-epoch put
-// rejection are request-scoped and final.
+// Typed client RPCs over the peer transport. The transport has already
+// mapped every failure to the error model by the time a call returns:
+// a peerDownError indicts the peer (failed dial, response timeout,
+// 5xx-family opErr, or a connection that kept dying until the RPC
+// deadline), while a 4xx-family opErr and a stale-epoch put rejection
+// are request-scoped and final. The calls below add the one remaining
+// peer-indicting case: a response that does not decode.
 
-// v2Fallback classifies an unavailable-v2 error for the fallback
-// bookkeeping: a known-v1 peer is not a fallback activation (v1 is its
-// normal transport), everything else is.
-func (t *transport) v2Fallback(err error) {
-	if !errors.Is(err, errPeerV1) {
-		t.httpFallbacks.Add(1)
+// peerOf returns the transport state for an RPC target. Every ring
+// member but self has one, so a miss is a caller bug, not a peer fault.
+func (n *Node) peerOf(id string) (*peerTransport, error) {
+	if pt := n.transport.peer(id); pt != nil {
+		return pt, nil
 	}
+	return nil, fmt.Errorf("cluster: %q is not a peer of %s", id, n.self)
 }
 
-// mapWireErr converts a request-scoped opErr into the v1 error model:
-// 5xx indicts the peer, anything else is a plain request failure.
-func mapWireErr(owner string, err error) error {
-	var we *wireError
-	if errors.As(err, &we) && we.code >= http.StatusInternalServerError {
-		return &peerDownError{err: fmt.Errorf("cluster: v2 get from %s: %w", owner, err)}
-	}
-	return err
-}
-
-// v2Get performs one forwarded residency lookup over v2, going through
-// the owner's batcher so a burst of foreign lookups to the same peer
+// v2Get performs one forwarded residency lookup, going through the
+// owner's batcher so a burst of foreign lookups to the same peer
 // coalesces into one frame.
-func (n *Node) v2Get(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, seq uint64) (hidden.Result, bool, error, bool) {
-	t := n.transport
-	pt := t.peer(owner)
-	if pt == nil || !pt.usable() {
-		return hidden.Result{}, false, nil, false
+func (n *Node) v2Get(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, seq uint64) (hidden.Result, bool, error) {
+	pt, err := n.peerOf(owner)
+	if err != nil {
+		return hidden.Result{}, false, err
 	}
 	tr := obs.FromContext(ctx)
 	eb, _ := entryBufs.Get().(*[]byte)
@@ -70,54 +48,51 @@ func (n *Node) v2Get(ctx context.Context, owner, ns string, schema *relation.Sch
 		began = time.Now()
 	}
 	r, err := pt.get(ctx, w.buf)
-	if err == nil {
-		// A response proves the frame was written; the entry bytes are
-		// dead and the buffer can be recycled. On error paths the entry
-		// may still sit in the batch queue, so it must not be reused.
-		*eb = w.buf[:0]
-		entryBufs.Put(eb)
-	}
 	if err != nil {
-		if isV2Unavailable(err) {
-			t.v2Fallback(err)
-			return hidden.Result{}, false, nil, false
-		}
-		return hidden.Result{}, false, mapWireErr(owner, err), true
+		// The entry may still sit in the batch queue (timeout, cancelled
+		// context), so its buffer must not be recycled.
+		return hidden.Result{}, false, err
 	}
+	// A response proves the frame was written; the entry bytes are dead
+	// and the buffer can be recycled.
+	*eb = w.buf[:0]
+	entryBufs.Put(eb)
 	rd := &wireReader{buf: r.payload}
 	resp := decodeGetResponse(rd, schema)
 	if derr := rd.finish(); derr != nil {
-		// A response that doesn't decode indicts the peer, exactly like a
-		// JSON body that doesn't parse on the v1 path.
-		return hidden.Result{}, false, &peerDownError{err: fmt.Errorf("cluster: decode v2 get from %s: %w", owner, derr)}, true
+		return hidden.Result{}, false, &peerDownError{err: fmt.Errorf("cluster: decode get from %s: %w", owner, derr)}
 	}
 	tr.Stitch(resp.trace, began)
 	n.observeScoped(ns, resp.eseq, resp.scope)
 	if !resp.found {
-		return hidden.Result{}, false, nil, true
+		return hidden.Result{}, false, nil
 	}
 	if resp.eseq > 0 && n.seqOf(ns) > resp.eseq {
 		// The owner answered under an older epoch than this replica now
-		// serves under: treat the residency as a miss, as on v1.
-		return hidden.Result{}, false, nil, true
+		// serves under (a bump landed since the request went out, or the
+		// owner has not caught up): its residency may predate the change.
+		// Treat it as a miss; the owner converges via our seq or gossip.
+		return hidden.Result{}, false, nil
 	}
-	return resp.resultOf(), true, nil, true
+	return resp.resultOf(), true, nil
 }
 
-// v2Put pushes one answer over v2. The response's status carries the
-// admission verdict: stale-epoch and refused map to plain errors (the
-// v1 409/4xx — final, never indicting).
-func (n *Node) v2Put(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, res hidden.Result, seq uint64) (error, bool) {
-	t := n.transport
-	pt := t.peer(owner)
-	if pt == nil || !pt.usable() {
-		return nil, false
+// v2Put pushes one answer. The response's status carries the admission
+// verdict: stale-epoch and refused map to plain, final errors.
+func (n *Node) v2Put(ctx context.Context, owner, ns string, schema *relation.Schema, p relation.Predicate, res hidden.Result, seq uint64) error {
+	pt, err := n.peerOf(owner)
+	if err != nil {
+		return err
 	}
 	tr := obs.FromContext(ctx)
 	began := time.Now()
 	r, err := pt.roundTrip(ctx, opPut, func(w *wireWriter) {
 		w.str(ns)
 		w.uvarint(seq)
+		// The scope travels only while seq is still the live epoch: it
+		// describes the transition into exactly that seq, and tagging an
+		// older seq with a newer transition's rect would let a receiver
+		// partial-wipe where a full wipe is owed.
 		appendScope(w, n.scopeAt(ns, seq))
 		w.bool(tr != nil)
 		w.bool(res.Overflow)
@@ -125,111 +100,80 @@ func (n *Node) v2Put(ctx context.Context, owner, ns string, schema *relation.Sch
 		appendTuples(w, res.Tuples, schema.Len())
 	})
 	if err != nil {
-		if isV2Unavailable(err) {
-			t.v2Fallback(err)
-			return nil, false
-		}
-		return mapWireErr(owner, err), true
+		return err
 	}
 	if r.op != opPutResp {
-		return &peerDownError{err: fmt.Errorf("cluster: v2 put to %s answered op %d", owner, r.op)}, true
+		return &peerDownError{err: fmt.Errorf("cluster: put to %s answered op %d", owner, r.op)}
 	}
 	rd := &wireReader{buf: r.payload}
 	status := rd.u8()
 	msg := rd.str()
 	st := decodeSubtree(rd)
 	if derr := rd.finish(); derr != nil {
-		return &peerDownError{err: fmt.Errorf("cluster: decode v2 put from %s: %w", owner, derr)}, true
+		return &peerDownError{err: fmt.Errorf("cluster: decode put from %s: %w", owner, derr)}
 	}
 	tr.Stitch(st, began)
 	switch status {
 	case putStatusOK:
-		return nil, true
+		return nil
 	case putStatusStale:
-		return fmt.Errorf("cluster: %s rejected stale-epoch put: %s", owner, msg), true
+		return fmt.Errorf("cluster: %s rejected stale-epoch put: %s", owner, msg)
 	default:
-		return fmt.Errorf("cluster: %s refused put: %s", owner, msg), true
+		return fmt.Errorf("cluster: %s refused put: %s", owner, msg)
 	}
 }
 
-// fetchRingV2 pulls a peer's membership + epoch document over v2.
-func (n *Node) fetchRingV2(ctx context.Context, id string) (ringDoc, error, bool) {
-	t := n.transport
-	pt := t.peer(id)
-	if pt == nil || !pt.usable() {
-		return ringDoc{}, nil, false
+// fetchRing pulls a peer's membership + epoch document.
+func (n *Node) fetchRing(ctx context.Context, id string) (ringDoc, error) {
+	pt, err := n.peerOf(id)
+	if err != nil {
+		return ringDoc{}, err
 	}
 	r, err := pt.roundTrip(ctx, opRing, func(w *wireWriter) {})
 	if err != nil {
-		if isV2Unavailable(err) {
-			t.v2Fallback(err)
-			return ringDoc{}, nil, false
-		}
-		return ringDoc{}, err, true
+		return ringDoc{}, err
 	}
 	if r.op != opRingResp {
-		return ringDoc{}, fmt.Errorf("cluster: v2 ring from %s answered op %d", id, r.op), true
+		return ringDoc{}, &peerDownError{err: fmt.Errorf("cluster: ring from %s answered op %d", id, r.op)}
 	}
 	rd := &wireReader{buf: r.payload}
-	doc := ringDoc{Self: rd.str(), VirtualNodes: int(rd.uvarint())}
-	np := rd.count("peers", 4)
-	for i := 0; i < np && rd.err == nil; i++ {
-		doc.Peers = append(doc.Peers, PeerStats{
-			ID:               rd.str(),
-			URL:              rd.str(),
-			Alive:            rd.bool(),
-			ConsecutiveFails: int64(rd.uvarint()),
-		})
-	}
-	ne := rd.count("epochs", 3)
-	for i := 0; i < ne && rd.err == nil; i++ {
-		name := rd.str()
-		seq := rd.uvarint()
-		sc := decodeScope(rd)
-		if doc.Epochs == nil {
-			doc.Epochs = make(map[string]uint64, ne)
-		}
-		doc.Epochs[name] = seq
-		if sc != nil {
-			if doc.Scopes == nil {
-				doc.Scopes = make(map[string]rectDoc, ne)
-			}
-			doc.Scopes[name] = *sc
-		}
-	}
+	doc := decodeRingResponse(rd)
 	if derr := rd.finish(); derr != nil {
-		return ringDoc{}, fmt.Errorf("cluster: decode v2 ring from %s: %w", id, derr), true
+		return ringDoc{}, &peerDownError{err: fmt.Errorf("cluster: decode ring from %s: %w", id, derr)}
 	}
-	return doc, nil, true
+	return doc, nil
 }
 
-// fetchObsV2 pulls a peer's observability snapshot over v2 (a JSON blob
-// inside one frame — same document as GET /cluster/obs).
-func (n *Node) fetchObsV2(ctx context.Context, id string) (*obs.Snapshot, error, bool) {
-	t := n.transport
-	pt := t.peer(id)
-	if pt == nil || !pt.usable() {
-		return nil, nil, false
+// fetchObs pulls a peer's observability snapshot.
+func (n *Node) fetchObs(ctx context.Context, id string) (*obs.Snapshot, error) {
+	pt, err := n.peerOf(id)
+	if err != nil {
+		return nil, err
 	}
 	r, err := pt.roundTrip(ctx, opObs, func(w *wireWriter) {})
 	if err != nil {
-		if isV2Unavailable(err) {
-			t.v2Fallback(err)
-			return nil, nil, false
-		}
-		return nil, err, true
+		return nil, err
 	}
 	if r.op != opObsResp {
-		return nil, fmt.Errorf("cluster: v2 obs from %s answered op %d", id, r.op), true
+		return nil, &peerDownError{err: fmt.Errorf("cluster: obs from %s answered op %d", id, r.op)}
 	}
-	rd := &wireReader{buf: r.payload}
-	blob := rd.blob()
-	if derr := rd.finish(); derr != nil {
-		return nil, derr, true
+	s, err := decodeObsResponse(&wireReader{buf: r.payload})
+	if err != nil {
+		return nil, &peerDownError{err: fmt.Errorf("cluster: decode obs from %s: %w", id, err)}
 	}
-	var s obs.Snapshot
-	if err := json.Unmarshal(blob, &s); err != nil {
-		return nil, err, true
+	return s, nil
+}
+
+// probe is the default health probe: one opRing round trip. It clears
+// the peer's dial backoff first — the probe is the recovery detector,
+// so it must dial a peer whose connections are gone even inside the
+// window that holds forwards back — and a failed dial re-arms it.
+func (n *Node) probe(ctx context.Context, id, _ string) error {
+	pt, err := n.peerOf(id)
+	if err != nil {
+		return err
 	}
-	return &s, nil, true
+	pt.clearBackoff()
+	_, err = n.fetchRing(ctx, id)
+	return err
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -12,13 +11,14 @@ import (
 	"repro/internal/obs"
 )
 
-// The server half of peer protocol v2. A peer negotiates v2 by sending
-// an ordinary HTTP request to GET /cluster/v2 with `Upgrade: qr2-peer/2`
-// on the replica's one listen address; this handler hijacks the
-// connection, answers 101 Switching Protocols, completes the hello /
-// helloAck handshake, and then serves binary frames until the peer goes
-// away. A v1-only replica simply has no such route — the peer reads a
-// 404 (or whatever middleware answers), concludes v1, and speaks HTTP.
+// The server half of the peer transport. A peer opens a connection by
+// sending an ordinary HTTP request to GET /cluster/v2 with
+// `Upgrade: qr2-peer/2` on the replica's one listen address; this
+// handler hijacks the connection, answers 101 Switching Protocols,
+// completes the hello / helloAck handshake, and then serves binary
+// frames until the peer goes away. Any other answer — a 503 from a
+// draining replica, a 404 from something that is not a QR2 replica —
+// fails the peer's dial, and the peer indicts this replica.
 //
 // Ops are handled sequentially per connection: every handler is local
 // memory work (a cache Peek, an admission, a snapshot marshal), so
@@ -33,7 +33,7 @@ import (
 // serving, so one bad request — or a newer peer's unknown op — cannot
 // sever a link carrying other callers' traffic.
 
-// handleV2 negotiates a v2 session on the ordinary HTTP listener.
+// handleV2 upgrades one connection on the ordinary HTTP listener.
 func (n *Node) handleV2(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Upgrade") != upgradeProto {
 		http.Error(w, fmt.Sprintf("cluster: unsupported upgrade %q", r.Header.Get("Upgrade")), http.StatusBadRequest)
@@ -52,7 +52,7 @@ func (n *Node) handleV2(w http.ResponseWriter, r *http.Request) {
 	n.trackV2Conn(conn)
 	defer n.untrackV2Conn(conn)
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(n.v2Timeout()))
+	_ = conn.SetDeadline(time.Now().Add(n.transport.rpcTimeout))
 	_, err = rw.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgrade: " +
 		upgradeProto + "\r\nConnection: Upgrade\r\n\r\n")
 	if err == nil {
@@ -61,9 +61,9 @@ func (n *Node) handleV2(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return
 	}
-	// Handshake: the magic pins "this really is a QR2 peer", the version
-	// negotiates min(client, server) — the ack always says 2, and a
-	// client needing more should have stayed on HTTP.
+	// Handshake: the magic pins "this really is a QR2 peer", and the
+	// version fields leave room for a later upgrade — today the ack
+	// always says 2.
 	f, err := readFrame(rw.Reader)
 	if err != nil || f.op != opHello {
 		return
@@ -87,15 +87,6 @@ func (n *Node) handleV2(w http.ResponseWriter, r *http.Request) {
 	n.serveV2(conn, rw.Reader)
 }
 
-// v2Timeout is the per-response write budget (and handshake deadline),
-// matching the client's RPC timeout.
-func (n *Node) v2Timeout() time.Duration {
-	if n.transport != nil {
-		return n.transport.rpcTimeout
-	}
-	return 2 * time.Second
-}
-
 // serveV2 is the frame loop of one established v2 connection. The loop
 // owns two scratch buffers — one the request frames land in, one the
 // responses are built in — so a warm connection serves without
@@ -113,9 +104,7 @@ func (n *Node) serveV2(c net.Conn, br *bufio.Reader) {
 		if err != nil {
 			return // connection closed, or framing lost — either way, done
 		}
-		if t != nil {
-			t.framesRecv.Add(1)
-		}
+		t.framesRecv.Add(1)
 		var out []byte
 		switch f.op {
 		case opGet:
@@ -133,24 +122,24 @@ func (n *Node) serveV2(c net.Conn, br *bufio.Reader) {
 			appendErrFrame(&w, f.id, http.StatusBadRequest, fmt.Sprintf("unknown op %d", f.op))
 			out = w.buf
 		}
-		_ = c.SetWriteDeadline(time.Now().Add(n.v2Timeout()))
+		_ = c.SetWriteDeadline(time.Now().Add(t.rpcTimeout))
 		if _, err := c.Write(out); err != nil {
 			return
 		}
 		if cap(out) > cap(wbuf) {
 			wbuf = out
 		}
-		if t != nil {
-			t.framesSent.Add(1)
-		}
+		t.framesSent.Add(1)
 	}
 }
 
 // v2Lookup serves one residency lookup entry (the body of opGet, or one
-// batch entry): decode, adopt the caller's epoch, read the local epoch
-// BEFORE the Peek — the same ordering as the v1 handler, so an answer
-// is never tagged with an epoch newer than the residency it came from —
-// and package the response. A wireError return maps to an opErr frame
+// batch entry): decode, adopt the caller's epoch (an adoption wipes
+// before the Peek, so the caller sees a clean miss from the post-change
+// cache), read the local epoch BEFORE the Peek — if a bump lands in
+// between, the answer travels honestly tagged with the epoch it was
+// valid under, never with an epoch newer than the residency it came
+// from — and package the response. A wireError return maps to an opErr frame
 // or a batch-entry error status.
 func (n *Node) v2Lookup(payload []byte) (getResponse, int, *wireError) {
 	n.peerGets.Add(1)
@@ -187,8 +176,7 @@ func (n *Node) v2Lookup(payload []byte) (getResponse, int, *wireError) {
 	resp := getResponse{found: found, overflow: res.Overflow, eseq: seq, scope: scopeOut, tuples: res.Tuples}
 	if wantTrace {
 		// No per-request context exists on a persistent connection, so
-		// the owner-side subtree is built directly: one pool_lookup span,
-		// which is also everything the v1 handler's trace records here.
+		// the owner-side subtree is built directly: one pool_lookup span.
 		resp.trace = &obs.Subtree{Replica: n.self, Spans: []obs.WireSpan{{
 			G: uint8(obs.StagePoolLookup),
 			O: uint8(hitMiss(found)),
@@ -254,9 +242,8 @@ func (n *Node) v2ServeBatch(f frame, scratch []byte) []byte {
 	return w.buf
 }
 
-// v2ServePut answers one opPut frame through the shared peer-admission
-// core, so the epoch gate (stale rejection, adopt-then-admit, untagged
-// bypass) cannot diverge from the v1 handler's.
+// v2ServePut answers one opPut frame through the peer-admission core
+// (admitFromPeer: stale rejection, adopt-then-admit, untagged bypass).
 func (n *Node) v2ServePut(f frame) []byte {
 	var w wireWriter
 	rd := &wireReader{buf: f.payload}
@@ -298,60 +285,30 @@ func (n *Node) v2ServePut(f frame) []byte {
 	return w.buf
 }
 
-// v2ServeRing answers one opRing frame with the binary form of the
-// /cluster/ring document: membership, health, and per-source epochs
-// with their transition scopes.
+// v2ServeRing answers one opRing frame with the ring document — the
+// health probe and the epoch gossip both read it.
 func (n *Node) v2ServeRing(f frame) []byte {
 	var w wireWriter
 	start := beginFrame(&w, opRingResp, 0, f.id)
-	st := n.Stats()
-	w.str(n.self)
-	w.uvarint(uint64(len(n.ring.points) / max(1, len(n.ring.ids))))
-	w.uvarint(uint64(len(st.Peers)))
-	for _, p := range st.Peers {
-		w.str(p.ID)
-		w.str(p.URL)
-		w.bool(p.Alive)
-		w.uvarint(uint64(p.ConsecutiveFails))
-	}
-	if n.epochs == nil {
-		w.uvarint(0)
-	} else {
-		n.mu.Lock()
-		names := make([]string, 0, len(n.sources))
-		for name := range n.sources {
-			names = append(names, name)
-		}
-		n.mu.Unlock()
-		w.uvarint(uint64(len(names)))
-		for _, name := range names {
-			seq, sc := n.epochOf(name)
-			w.str(name)
-			w.uvarint(seq)
-			appendScope(&w, sc)
-		}
-	}
+	appendRingResponse(&w, n.ringDoc())
 	endFrame(&w, start)
 	return w.buf
 }
 
 // v2ServeObs answers one opObs frame with the local observability
-// snapshot as a JSON blob — the snapshot is a polling-cadence cold
-// path, so it rides the persistent connection without earning its own
-// binary codec.
+// snapshot.
 func (n *Node) v2ServeObs(f frame) []byte {
 	var w wireWriter
 	if n.snapshotFn == nil {
 		appendErrFrame(&w, f.id, http.StatusNotFound, "observability disabled")
 		return w.buf
 	}
-	b, err := json.Marshal(n.snapshotFn())
-	if err != nil {
+	start := beginFrame(&w, opObsResp, 0, f.id)
+	if err := appendObsResponse(&w, n.snapshotFn()); err != nil {
+		w.buf = w.buf[:0]
 		appendErrFrame(&w, f.id, http.StatusInternalServerError, err.Error())
 		return w.buf
 	}
-	start := beginFrame(&w, opObsResp, 0, f.id)
-	w.bytes(b)
 	endFrame(&w, start)
 	return w.buf
 }
@@ -376,8 +333,8 @@ func (n *Node) untrackV2Conn(c net.Conn) {
 // CloseV2Conns severs every established v2 server connection. Hijacked
 // connections outlive their HTTP server's Close (the server forgets
 // them at the hijack), so simulating or executing a replica's death
-// must sever them explicitly — peers' in-flight frames then fail over
-// to HTTP, which is the path the health machinery judges.
+// must sever them explicitly — peers then re-send their in-flight
+// frames on fresh dials, and indict this replica once it refuses them.
 func (n *Node) CloseV2Conns() {
 	n.v2mu.Lock()
 	conns := make([]net.Conn, 0, len(n.v2conns))

@@ -56,9 +56,15 @@ type engine struct {
 	st   *Stream
 	algo Algorithm
 
-	attrs     []int     // schema positions of the ranking attributes
-	weights   []float64 // aligned with attrs
-	domain    region.Rect
+	attrs   []int     // schema positions of the ranking attributes
+	weights []float64 // aligned with attrs
+	domain  region.Rect
+	// rawEdges holds, per dimension, the raw values the domain's edges
+	// stand for: the user's own filter bound where the filter set the
+	// edge. Denormalising a normalised bound can move it one ulp inward,
+	// which would drop a tuple lying exactly on the bound from every web
+	// query; rawRect emits these values instead.
+	rawEdges  []relation.Interval
 	refWidths []float64 // domain widths, for relative width measures
 	minSplit  []float64 // minimal splittable width per dimension
 
@@ -73,6 +79,7 @@ func newEngine(st *Stream, algo Algorithm) (*engine, error) {
 	schema := st.r.db.Schema()
 	e := &engine{st: st, algo: algo, attrs: sc.Attrs(), weights: sc.Weights()}
 	ivs := make([]relation.Interval, len(e.attrs))
+	e.rawEdges = make([]relation.Interval, len(e.attrs))
 	e.refWidths = make([]float64, len(e.attrs))
 	e.minSplit = make([]float64, len(e.attrs))
 	for i, a := range e.attrs {
@@ -84,6 +91,13 @@ func newEngine(st *Stream, algo Algorithm) (*engine, error) {
 		ivs[i] = relation.Closed(0, 1).Intersect(nIv)
 		if ivs[i].Empty() {
 			e.empty = true
+		}
+		e.rawEdges[i] = relation.Interval{Lo: norm.Denormalize(a, ivs[i].Lo), Hi: norm.Denormalize(a, ivs[i].Hi)}
+		if ivs[i].Lo == nIv.Lo {
+			e.rawEdges[i].Lo = filter.Lo
+		}
+		if ivs[i].Hi == nIv.Hi {
+			e.rawEdges[i].Hi = filter.Hi
 		}
 		e.refWidths[i] = ivs[i].Width()
 		span := norm.Max[a] - norm.Min[a]
@@ -105,13 +119,24 @@ func newEngine(st *Stream, algo Algorithm) (*engine, error) {
 	return e, nil
 }
 
-// rawRect converts a normalised rect into raw attribute coordinates.
+// rawRect converts a normalised rect into raw attribute coordinates. An
+// edge on the domain's edge maps to rawEdges, so a user's bound reaches
+// the web database exactly as the user wrote it.
 func (e *engine) rawRect(nr region.Rect) region.Rect {
 	norm := e.st.scorer.Norm()
 	out := nr.Clone()
 	for i, a := range out.Attrs {
-		out.Ivs[i].Lo = norm.Denormalize(a, out.Ivs[i].Lo)
-		out.Ivs[i].Hi = norm.Denormalize(a, out.Ivs[i].Hi)
+		iv, dom := &out.Ivs[i], e.domain.Ivs[i]
+		if iv.Lo == dom.Lo {
+			iv.Lo = e.rawEdges[i].Lo
+		} else {
+			iv.Lo = norm.Denormalize(a, iv.Lo)
+		}
+		if iv.Hi == dom.Hi {
+			iv.Hi = e.rawEdges[i].Hi
+		} else {
+			iv.Hi = norm.Denormalize(a, iv.Hi)
+		}
 	}
 	return out
 }

@@ -17,7 +17,7 @@
 //	S9   source-fault resilience: stall, kill and heal a source mid-run
 //	S10  region-scoped epochs: region-confined mutation, surgical invalidation
 //	S11  cluster observability plane: stitched traces, fleet roll-up, SLO burn rates
-//	S12  wire-speed peer protocol v2: mixed v1/v2 ring, hot trace, mid-burst kill
+//	S12  wire-speed peer transport: 3-replica ring, hot trace, mid-burst kill
 //	A1   ablation: parallel vs sequential processing
 //	A2   ablation: dense-region threshold sweep
 //	A3   ablation: tie-group mass vs crawling cost

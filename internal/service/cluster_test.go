@@ -160,10 +160,8 @@ func TestClusterStatsAndMetrics(t *testing.T) {
 		`qr2_cluster_fallbacks_total{self="a"}`,
 		`qr2_peer_frames_sent_total{self="a"}`,
 		`qr2_peer_batches_sent_total{self="a"}`,
-		`qr2_peer_http_fallbacks_total{self="a"}`,
 		`qr2_peer_batch_occupancy_bucket{self="a",le="+Inf"}`,
 		`qr2_peer_batch_occupancy_count{self="a"}`,
-		`qr2_peer_proto{self="a",peer="b"}`,
 		`qr2_peer_conns{self="a",peer="b"}`,
 	} {
 		if !strings.Contains(string(body), want) {
@@ -171,7 +169,7 @@ func TestClusterStatsAndMetrics(t *testing.T) {
 		}
 	}
 
-	// The peer protocol itself is mounted on the service mux.
+	// The ring document is mounted on the service mux for operators.
 	resp, err = http.Get(urls["a"] + "/cluster/ring")
 	if err != nil {
 		t.Fatal(err)
