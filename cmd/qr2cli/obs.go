@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/wdbhttp"
 )
@@ -106,21 +107,6 @@ func fetchSnapshot(base string) (*obs.Snapshot, error) {
 	return &s, nil
 }
 
-// transportDoc mirrors the cluster.transport slice of /api/stats.
-type transportDoc struct {
-	FramesSent     int64   `json:"frames_sent"`
-	FramesRecv     int64   `json:"frames_recv"`
-	BatchesSent    int64   `json:"batches_sent"`
-	BatchedGets    int64   `json:"batched_gets"`
-	BatchOccupancy []int64 `json:"batch_occupancy"`
-	V2Dials        int64   `json:"v2_dials"`
-	V2DialFails    int64   `json:"v2_dial_fails"`
-	Peers          []struct {
-		ID    string `json:"id"`
-		Conns int    `json:"conns"`
-	} `json:"peers"`
-}
-
 // printTransports renders each replica's peer-transport state (the same
 // counters /metrics exports as qr2_peer_*): live connections per peer,
 // frame/batch/dial totals, and mean batch occupancy.
@@ -132,10 +118,7 @@ func printTransports(urls []string) {
 			continue
 		}
 		var doc struct {
-			Cluster *struct {
-				Self      string        `json:"self"`
-				Transport *transportDoc `json:"transport"`
-			} `json:"cluster"`
+			Cluster *cluster.Stats `json:"cluster"`
 		}
 		err = json.NewDecoder(resp.Body).Decode(&doc)
 		wdbhttp.DrainClose(resp)
@@ -147,20 +130,16 @@ func printTransports(urls []string) {
 			printed = true
 		}
 		ts := doc.Cluster.Transport
-		// Mean occupancy from the histogram's bucket upper bounds.
-		bounds := []int64{1, 2, 4, 8, 16, 32, 64, 128}
-		var frames, gets int64
-		for i, n := range ts.BatchOccupancy {
-			if i < len(bounds) {
-				frames += n
-				gets += n * bounds[i]
-			}
+		// Mean occupancy: the histogram's exact sum over its frame count.
+		var frames int64
+		for _, n := range ts.BatchOccupancy {
+			frames += n
 		}
 		occ := "-"
 		if frames > 0 {
-			occ = fmt.Sprintf("%.1f", float64(gets)/float64(frames))
+			occ = fmt.Sprintf("%.1f", float64(ts.OccupancySum())/float64(frames))
 		}
-		fmt.Printf("  replica %-12s frames %d/%d sent/recv  batches %d (%d gets, ~%s/frame)  dials %d (%d failed)\n",
+		fmt.Printf("  replica %-12s frames %d/%d sent/recv  batches %d (%d gets, %s/frame)  dials %d (%d failed)\n",
 			doc.Cluster.Self, ts.FramesSent, ts.FramesRecv, ts.BatchesSent, ts.BatchedGets, occ,
 			ts.V2Dials, ts.V2DialFails)
 		for _, p := range ts.Peers {

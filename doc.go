@@ -142,7 +142,12 @@
 // queries through the ScanIn iterator instead of copying an entry-sized
 // output slice. Operational counters for every layer — including ring
 // membership and forward/fallback traffic — are exported on GET
-// /api/stats (JSON) and GET /metrics (Prometheus text).
+// /api/stats (JSON) and GET /metrics (Prometheus text). Both endpoints
+// render one stats snapshot gathered in a single pass, so they always
+// agree, and every Prometheus family on /metrics — service counters,
+// the collector's latency histograms, the fleet roll-up and the SLO
+// burn rates — is written by one writer, obs.WriteFamilies, which owns
+// the HELP/TYPE lines, label escaping and the _bucket/_sum/_count rows.
 //
 // Observability goes below counters: internal/obs threads a per-request
 // trace through the whole answer path (one span per stage — pool lookup,

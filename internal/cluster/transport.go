@@ -79,31 +79,20 @@ func peerAddr(raw string) (string, error) {
 	return u.Host, nil
 }
 
-// OccupancyBounds is the batch-occupancy histogram layout: frames
-// carrying 1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, and 65+ lookups. Exported
-// so /metrics can emit TransportStats.BatchOccupancy as a Prometheus
-// histogram with matching le labels.
-var OccupancyBounds = []string{"1", "2", "4", "8", "16", "32", "64", "+Inf"}
+// OccupancyBounds are the batch-occupancy histogram's finite bucket
+// upper bounds: frames carrying 1, 2, 3–4, 5–8, 9–16, 17–32 and 33–64
+// lookups, then a final +Inf bucket for 65+. Exported so /metrics can
+// emit TransportStats.BatchOccupancy as a Prometheus histogram with
+// matching le labels.
+var OccupancyBounds = []float64{1, 2, 4, 8, 16, 32, 64}
 
 func occBucket(n int) int {
-	switch {
-	case n <= 1:
-		return 0
-	case n == 2:
-		return 1
-	case n <= 4:
-		return 2
-	case n <= 8:
-		return 3
-	case n <= 16:
-		return 4
-	case n <= 32:
-		return 5
-	case n <= 64:
-		return 6
-	default:
-		return 7
+	for i, ub := range OccupancyBounds {
+		if float64(n) <= ub {
+			return i
+		}
 	}
+	return len(OccupancyBounds)
 }
 
 // TransportStats is a point-in-time snapshot of the peer transport.
@@ -118,7 +107,7 @@ type TransportStats struct {
 	BatchesSent int64 `json:"batches_sent"`
 	BatchedGets int64 `json:"batched_gets"`
 	// BatchOccupancy histograms flush sizes: le-1, 2, 4, 8, 16, 32, 64,
-	// +Inf (see OccupancyBounds).
+	// +Inf (see OccupancyBounds; OccupancySum is its exact sum).
 	BatchOccupancy []int64 `json:"batch_occupancy"`
 	// V2Dials / V2DialFails count persistent-connection dials, the
 	// redials that replace a connection lost mid-request included.
@@ -126,6 +115,17 @@ type TransportStats struct {
 	V2DialFails int64 `json:"v2_dial_fails"`
 	// Peers reports each peer's live pooled connections.
 	Peers []PeerTransportStats `json:"peers,omitempty"`
+}
+
+// OccupancySum is the exact number of lookups across every flushed
+// lookup frame — the sum of the occupancy histogram. A single lookup
+// goes out as an opGet frame and lands in bucket le=1; every batch frame
+// adds its size to BatchedGets.
+func (s *TransportStats) OccupancySum() int64 {
+	if len(s.BatchOccupancy) == 0 {
+		return s.BatchedGets
+	}
+	return s.BatchOccupancy[0] + s.BatchedGets
 }
 
 // PeerTransportStats is one peer's transport state.
@@ -153,7 +153,7 @@ type transport struct {
 	framesRecv  atomic.Int64
 	batchesSent atomic.Int64
 	batchedGets atomic.Int64
-	occupancy   [8]atomic.Int64
+	occupancy   [8]atomic.Int64 // len(OccupancyBounds)+1 buckets
 	v2Dials     atomic.Int64
 	v2DialFails atomic.Int64
 }

@@ -284,6 +284,11 @@ func TestBatchCoalescing(t *testing.T) {
 	if flushes == 0 {
 		t.Fatalf("occupancy histogram empty: %+v", st)
 	}
+	// The histogram's exact sum counts every lookup that left in a
+	// frame: each forward (warm-up misses and batched hits alike) is one.
+	if sum, fwd := st.OccupancySum(), a.node.Stats().Forwards; sum != fwd {
+		t.Fatalf("occupancy sum %d != %d forwarded lookups (%+v)", sum, fwd, st)
+	}
 }
 
 // TestBatchCoalescingRace hammers the batcher from many goroutines while

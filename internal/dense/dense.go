@@ -51,25 +51,26 @@ type Entry struct {
 }
 
 // Stats reports index effectiveness for the amortisation experiments and
-// the operational metrics endpoint.
+// the operational metrics endpoint. The JSON keys carry a dense_ prefix
+// because GET /api/stats embeds Stats flat in each source's section.
 type Stats struct {
-	Entries      int
-	TuplesStored int
-	Hits         int64
-	Misses       int64
+	Entries      int   `json:"dense_entries"`
+	TuplesStored int   `json:"dense_tuples"`
+	Hits         int64 `json:"dense_hits"`
+	Misses       int64 `json:"dense_misses"`
 	// ResidentEntries and ResidentBytes describe the decoded-tuple cache.
-	ResidentEntries int
-	ResidentBytes   int64
+	ResidentEntries int   `json:"dense_resident_entries"`
+	ResidentBytes   int64 `json:"dense_resident_bytes"`
 	// ResidentLoads counts store fetches forced by residency misses on the
 	// read path; ResidentEvictions counts entries pushed back to the store
 	// to respect the byte budget.
-	ResidentLoads     int64
-	ResidentEvictions int64
+	ResidentLoads     int64 `json:"dense_resident_loads"`
+	ResidentEvictions int64 `json:"dense_resident_evictions"`
 	// Wipes counts whole-index invalidations (full source epoch bumps);
 	// RegionWipes counts region-scoped invalidations (WipeRegion), which
 	// evict only the entries intersecting the bumped rectangle.
-	Wipes       int64
-	RegionWipes int64
+	Wipes       int64 `json:"dense_wipes"`
+	RegionWipes int64 `json:"dense_region_wipes"`
 }
 
 // Index is a shared, persistent directory of crawled dense regions.

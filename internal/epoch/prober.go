@@ -74,7 +74,7 @@ type ProbeStats struct {
 	// Refreshes counts traffic-derived placement changes: rounds where
 	// the hot-predicate sample moved a sentinel (0 under static
 	// placement).
-	Refreshes int64 `json:"refreshes,omitempty"`
+	Refreshes int64 `json:"refreshes"`
 	// Sentinels is the configured sentinel count.
 	Sentinels int `json:"sentinels"`
 }

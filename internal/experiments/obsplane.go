@@ -172,8 +172,12 @@ func (r *Runner) ScenarioObservabilityPlane(ctx context.Context) (Table, error) 
 	for path, h := range offline.Request {
 		paths++
 		var expect strings.Builder
-		h.WriteProm(&expect, "qr2_fleet_request_latency_seconds", fmt.Sprintf("path=%q", path))
+		_ = obs.WriteFamilies(&expect, []obs.Family{{Name: "qr2_fleet_request_latency_seconds",
+			Type: obs.TypeHistogram, Samples: []obs.Sample{h.Sample("path", path)}}})
 		for _, line := range strings.Split(strings.TrimSpace(expect.String()), "\n") {
+			if strings.HasPrefix(line, "#") {
+				continue
+			}
 			key, val, _ := strings.Cut(line, " ")
 			if m[key] != val {
 				return Table{}, fmt.Errorf("experiments: fleet metrics disagree with offline merge: %s = %q, want %q", key, m[key], val)

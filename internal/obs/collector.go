@@ -318,69 +318,50 @@ func (c *Collector) writeDebugTable(w io.Writer, title string, docs []*TraceDoc)
 	fmt.Fprintf(w, "</table>\n")
 }
 
-// WriteMetrics appends the collector's Prometheus families to w:
-// qr2_stage_latency_seconds{stage,outcome}, qr2_request_latency_seconds
-// {path}, qr2_traces_total and qr2_slow_requests_total. Empty
-// stage/outcome and path series are omitted to keep scrapes compact.
-func (c *Collector) WriteMetrics(w io.Writer) {
+// Families returns the collector's Prometheus families:
+// qr2_traces_total, qr2_slow_requests_total,
+// qr2_stage_latency_seconds{stage,outcome} and
+// qr2_request_latency_seconds{path}. Empty stage/outcome and path series
+// are omitted to keep scrapes compact. Each request bucket carries an
+// OpenMetrics-style exemplar: the trace ID of the slowest request that
+// landed in it this window, linking the outlier to /api/trace?id=...
+// Nil-safe (returns nil).
+func (c *Collector) Families() []Family {
 	if c == nil {
-		return
+		return nil
 	}
-	fmt.Fprintf(w, "# HELP qr2_traces_total Completed request traces.\n")
-	fmt.Fprintf(w, "# TYPE qr2_traces_total counter\n")
-	fmt.Fprintf(w, "qr2_traces_total %d\n", c.total.Load())
-	fmt.Fprintf(w, "# HELP qr2_slow_requests_total Requests at or above the slow-query threshold.\n")
-	fmt.Fprintf(w, "# TYPE qr2_slow_requests_total counter\n")
-	fmt.Fprintf(w, "qr2_slow_requests_total %d\n", c.slowTotal.Load())
-
-	fmt.Fprintf(w, "# HELP qr2_stage_latency_seconds Per-stage span latency by outcome.\n")
-	fmt.Fprintf(w, "# TYPE qr2_stage_latency_seconds histogram\n")
+	stage := Family{Name: "qr2_stage_latency_seconds", Type: TypeHistogram,
+		Help: "Per-stage span latency by outcome."}
 	for s := Stage(0); s < numStages; s++ {
 		for o := Outcome(0); o < numOutcomes; o++ {
-			h := &c.stage[s][o]
-			if h.Count() == 0 {
-				continue
+			if h := histData(&c.stage[s][o]); h.Count() > 0 {
+				stage.Samples = append(stage.Samples, h.Sample("stage", s.String(), "outcome", o.String()))
 			}
-			labels := fmt.Sprintf("stage=%q,outcome=%q", s.String(), o.String())
-			h.writeProm(w, "qr2_stage_latency_seconds", labels)
 		}
 	}
-
-	fmt.Fprintf(w, "# HELP qr2_request_latency_seconds End-to-end request latency by decision path.\n")
-	fmt.Fprintf(w, "# TYPE qr2_request_latency_seconds histogram\n")
+	request := Family{Name: "qr2_request_latency_seconds", Type: TypeHistogram,
+		Help: "End-to-end request latency by decision path."}
 	c.mu.Lock()
 	exemplars := c.exemplars
 	c.mu.Unlock()
 	for p := Path(0); p < numPaths; p++ {
-		h := &c.request[p]
-		counts, sum := h.snapshot()
-		var cum uint64
-		for _, n := range counts {
-			cum += n
-		}
-		if cum == 0 {
+		h := histData(&c.request[p])
+		if h.Count() == 0 {
 			continue
 		}
-		// Bucket rows are written by hand instead of via writeProm so each
-		// can carry an OpenMetrics-style exemplar: the trace ID of the
-		// slowest request that landed in the bucket this window, linking
-		// the outlier to /api/trace?id=...
-		labels := fmt.Sprintf("path=%q", p.String())
-		cum = 0
-		for i, n := range counts {
-			cum += n
-			le := "+Inf"
-			if i < NumBuckets-1 {
-				le = strconv.FormatFloat(bucketLe(i), 'g', -1, 64)
-			}
-			fmt.Fprintf(w, "qr2_request_latency_seconds_bucket{%s,le=%q} %d", labels, le, cum)
-			if ex := exemplars[p][i]; ex.id != "" {
-				fmt.Fprintf(w, " # {trace_id=%q} %g", ex.id, ex.dur.Seconds())
-			}
-			fmt.Fprintf(w, "\n")
+		s := h.Sample("path", p.String())
+		s.Hist.Exemplars = make([]Exemplar, NumBuckets)
+		for i, ex := range exemplars[p] {
+			s.Hist.Exemplars[i] = Exemplar{TraceID: ex.id, Value: ex.dur.Seconds()}
 		}
-		fmt.Fprintf(w, "qr2_request_latency_seconds_sum{%s} %g\n", labels, float64(sum)/1e9)
-		fmt.Fprintf(w, "qr2_request_latency_seconds_count{%s} %d\n", labels, cum)
+		request.Samples = append(request.Samples, s)
+	}
+	return []Family{
+		{Name: "qr2_traces_total", Type: TypeCounter, Help: "Completed request traces.",
+			Samples: []Sample{{Value: float64(c.total.Load())}}},
+		{Name: "qr2_slow_requests_total", Type: TypeCounter, Help: "Requests at or above the slow-query threshold.",
+			Samples: []Sample{{Value: float64(c.slowTotal.Load())}}},
+		stage, request,
 	}
 }
 
@@ -394,64 +375,9 @@ type Percentiles struct {
 	MeanS float64 `json:"mean_s"`
 }
 
-func percentilesOf(h *Histogram) Percentiles {
-	counts, sum := h.snapshot()
-	var total uint64
-	for _, n := range counts {
-		total += n
-	}
-	p := Percentiles{Count: total}
-	if total == 0 {
-		return p
-	}
-	p.P50 = h.Quantile(0.5).Seconds()
-	p.P90 = h.Quantile(0.9).Seconds()
-	p.P99 = h.Quantile(0.99).Seconds()
-	p.P999 = h.Quantile(0.999).Seconds()
-	p.MeanS = float64(sum) / 1e9 / float64(total)
-	return p
-}
-
-// RequestPercentiles returns the per-path request latency summaries for
-// paths that saw traffic, ordered by path name.
-func (c *Collector) RequestPercentiles() map[string]Percentiles {
-	if c == nil {
-		return nil
-	}
-	out := make(map[string]Percentiles)
-	for p := Path(0); p < numPaths; p++ {
-		h := &c.request[p]
-		if h.Count() == 0 {
-			continue
-		}
-		out[p.String()] = percentilesOf(h)
-	}
-	return out
-}
-
-// StagePercentiles returns per-stage latency summaries (all outcomes of
-// a stage merged by quantile over the combined snapshot is not possible
-// without re-bucketing, so each stage+outcome pair reports separately).
-func (c *Collector) StagePercentiles() map[string]Percentiles {
-	if c == nil {
-		return nil
-	}
-	out := make(map[string]Percentiles)
-	for s := Stage(0); s < numStages; s++ {
-		for o := Outcome(0); o < numOutcomes; o++ {
-			h := &c.stage[s][o]
-			if h.Count() == 0 {
-				continue
-			}
-			out[s.String()+"/"+o.String()] = percentilesOf(h)
-		}
-	}
-	return out
-}
-
 // SortedKeys returns a map's keys in sorted order; report writers use it
 // for deterministic JSON artifacts.
-func SortedKeys(m map[string]Percentiles) []string {
+func SortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -161,7 +161,7 @@ func TestWriteMetricsFamilies(t *testing.T) {
 	c := quietCollector(CollectorConfig{Buffer: 8})
 	finishOne(c, "r1", func(tr *Trace) { tr.Start(StageWebQuery).EndQueries(OutcomeOK, 1) })
 	var b strings.Builder
-	c.WriteMetrics(&b)
+	_ = WriteFamilies(&b, c.Families())
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE qr2_traces_total counter",
@@ -187,12 +187,13 @@ func TestPercentiles(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		finishOne(c, "r", func(tr *Trace) { tr.Start(StagePoolLookup).End(OutcomeHit) })
 	}
-	req := c.RequestPercentiles()
-	if len(req) != 1 || req["pool-hit"].Count != 20 || req["pool-hit"].P50 <= 0 {
+	snap := c.Snapshot("")
+	req := snap.Request
+	if len(req) != 1 || req["pool-hit"].Percentiles().Count != 20 || req["pool-hit"].Percentiles().P50 <= 0 {
 		t.Fatalf("request percentiles = %+v", req)
 	}
-	st := c.StagePercentiles()
-	if st["pool_lookup/hit"].Count != 20 {
+	st := snap.Stage
+	if st["pool_lookup/hit"].Percentiles().Count != 20 {
 		t.Fatalf("stage percentiles = %+v", st)
 	}
 	keys := SortedKeys(map[string]Percentiles{"b": {}, "a": {}, "c": {}})
@@ -236,8 +237,8 @@ func TestCollectorConcurrency(t *testing.T) {
 				c.ServeTraces(rec, httptest.NewRequest("GET", "/api/trace?n=5", nil))
 				rec = httptest.NewRecorder()
 				c.ServeDebug(rec, httptest.NewRequest("GET", "/debug/requests", nil))
-				c.WriteMetrics(io.Discard)
-				c.RequestPercentiles()
+				_ = WriteFamilies(io.Discard, c.Families())
+				c.Snapshot("")
 			}
 		}()
 	}

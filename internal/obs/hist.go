@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math/bits"
-	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -115,36 +112,4 @@ func quantileOf(counts []uint64, q float64) time.Duration {
 		}
 	}
 	return time.Duration(uint64(1) << uint(NumBuckets-2))
-}
-
-// formatLe renders bucket i's upper bound as a Prometheus le label value.
-func formatLe(i int) string {
-	return strconv.FormatFloat(bucketLe(i), 'g', -1, 64)
-}
-
-// writeProm writes the histogram as Prometheus _bucket/_sum/_count rows
-// for the family name with the given label pairs (no le). The _count is
-// derived from the same snapshot as the buckets, so the +Inf bucket
-// always equals it.
-func (h *Histogram) writeProm(w io.Writer, name, labels string) {
-	counts, sum := h.snapshot()
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		le := "+Inf"
-		if i < NumBuckets-1 {
-			le = strconv.FormatFloat(bucketLe(i), 'g', -1, 64)
-		}
-		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, le, cum)
-	}
-	suffix := ""
-	if labels != "" {
-		suffix = "{" + labels + "}"
-	}
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, suffix, float64(sum)/1e9)
-	fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, cum)
 }

@@ -79,16 +79,23 @@ func TestQuantileAndCount(t *testing.T) {
 	}
 }
 
-// TestPromExposition parses writeProm output: cumulative buckets, +Inf
-// equal to _count, and the exact label syntax /metrics promises.
+// promText renders one histogram series through WriteFamilies.
+func promText(name string, h *HistData, labels ...string) string {
+	var b strings.Builder
+	_ = WriteFamilies(&b, []Family{{Name: name, Type: TypeHistogram, Help: "test.",
+		Samples: []Sample{h.Sample(labels...)}}})
+	return b.String()
+}
+
+// TestPromExposition parses the writer's histogram rows: cumulative
+// buckets, +Inf equal to _count, and the exact label syntax /metrics
+// promises.
 func TestPromExposition(t *testing.T) {
 	var h Histogram
 	h.Observe(100)
 	h.Observe(200_000)
 	h.Observe(3 * time.Second)
-	var b strings.Builder
-	h.writeProm(&b, "qr2_stage_latency_seconds", `stage="web_query",outcome="ok"`)
-	out := b.String()
+	out := promText("qr2_stage_latency_seconds", histData(&h), "stage", "web_query", "outcome", "ok")
 
 	var prev uint64
 	var bucketRows int
@@ -96,6 +103,9 @@ func TestPromExposition(t *testing.T) {
 	sc := bufio.NewScanner(strings.NewReader(out))
 	for sc.Scan() {
 		line := sc.Text()
+		if strings.HasPrefix(line, "# ") {
+			continue
+		}
 		name, valStr, ok := strings.Cut(line, " ")
 		if !ok {
 			t.Fatalf("malformed row %q", line)
@@ -141,9 +151,7 @@ func TestPromExposition(t *testing.T) {
 func TestPromNoLabels(t *testing.T) {
 	var h Histogram
 	h.Observe(5)
-	var b strings.Builder
-	h.writeProm(&b, "x_seconds", "")
-	out := b.String()
+	out := promText("x_seconds", histData(&h))
 	if strings.Contains(out, "{}") {
 		t.Fatalf("empty label braces in %q", out)
 	}
@@ -180,9 +188,7 @@ func TestHistogramHammer(t *testing.T) {
 			}
 			prevCount = total
 			// A Prometheus render mid-hammer must stay well formed.
-			var b strings.Builder
-			h.writeProm(&b, "x", "")
-			if !strings.Contains(b.String(), `le="+Inf"`) {
+			if !strings.Contains(promText("x", histData(&h)), `le="+Inf"`) {
 				t.Error("scrape missing +Inf bucket")
 				return
 			}
@@ -205,9 +211,8 @@ func TestHistogramHammer(t *testing.T) {
 	if got := h.Count(); got != writers*perG {
 		t.Fatalf("final count = %d, want %d", got, writers*perG)
 	}
-	var b strings.Builder
-	h.writeProm(&b, "x", "")
-	if !strings.Contains(b.String(), fmt.Sprintf(`x_bucket{le="+Inf"} %d`, writers*perG)) {
-		t.Fatalf("final +Inf bucket must equal the exact total:\n%s", b.String())
+	out := promText("x", histData(&h))
+	if !strings.Contains(out, fmt.Sprintf(`x_bucket{le="+Inf"} %d`, writers*perG)) {
+		t.Fatalf("final +Inf bucket must equal the exact total:\n%s", out)
 	}
 }

@@ -22,6 +22,14 @@
 //     ring, and serves them as Prometheus histogram families, JSON
 //     (GET /api/trace) and a human-readable table (GET /debug/requests).
 //
+//   - /metrics has one writer. Every producer — the service's counters,
+//     the Collector, the fleet roll-up and the SLOTracker — describes its
+//     output as Family values (name, type, help and labelled samples; a
+//     histogram sample carries bounds, counts, an exact sum and optional
+//     exemplars), and WriteFamilies alone turns them into the text
+//     exposition format: HELP/TYPE lines, label escaping and the
+//     _bucket/_sum/_count rows.
+//
 // The decision path of a request — pool-hit, containment, crawl-set,
 // dense, peer, or web — is derived from span evidence rather than declared
 // by the layers, so it cannot drift from what actually happened.

@@ -45,10 +45,9 @@ func TestNilSafety(t *testing.T) {
 	if c.Recent(10, false) != nil {
 		t.Fatal("nil collector Recent must return nil")
 	}
-	if c.RequestPercentiles() != nil || c.StagePercentiles() != nil {
-		t.Fatal("nil collector percentiles must return nil")
+	if c.Families() != nil {
+		t.Fatal("nil collector families must be nil")
 	}
-	c.WriteMetrics(nil) // must not panic
 }
 
 func TestContextPlumbing(t *testing.T) {

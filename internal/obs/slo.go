@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"sync"
 	"time"
 )
@@ -244,49 +242,37 @@ func deltaHist(newer, older *HistData) *HistData {
 	return out
 }
 
-// WriteMetrics appends the qr2_slo_* families: per-objective gauges,
-// per-(objective, window) burn-rate gauges and monotone breach counters.
-// Every series is emitted even before traffic so dashboards see the
-// families from boot. Nil-safe.
-func (t *SLOTracker) WriteMetrics(w io.Writer, now time.Time) {
+// Families returns the qr2_slo_* families for st, the statuses Status
+// reported: per-objective gauges, per-(objective, window) burn-rate
+// gauges and monotone breach counters. Before any Offer (st empty) every
+// series is still emitted at zero so dashboards see the families from
+// boot. Nil-safe (returns nil).
+func (t *SLOTracker) Families(st []SLOStatus) []Family {
 	if t == nil {
-		return
+		return nil
 	}
-	st := t.Status(now)
-	obj := t.obj
-	fmt.Fprintf(w, "# HELP qr2_slo_objective Configured SLO objective (ratio, fraction, or seconds).\n")
-	fmt.Fprintf(w, "# TYPE qr2_slo_objective gauge\n")
-	fmt.Fprintf(w, "qr2_slo_objective{slo=%q} %g\n", SLOQueriesPerAnswer, obj.QueriesPerAnswer)
-	fmt.Fprintf(w, "qr2_slo_objective{slo=%q} %g\n", SLODegradedFraction, obj.DegradedFraction)
-	fmt.Fprintf(w, "qr2_slo_objective{slo=%q} %g\n", SLOForwardP99, obj.ForwardP99.Seconds())
-
-	fmt.Fprintf(w, "# HELP qr2_slo_burn_rate Windowed actual value divided by the objective; above 1 the SLO is burning.\n")
-	fmt.Fprintf(w, "# TYPE qr2_slo_burn_rate gauge\n")
-	t.eachSeries(st, func(s SLOStatus) {
-		fmt.Fprintf(w, "qr2_slo_burn_rate{slo=%q,window=%q} %g\n", s.SLO, s.Window, s.BurnRate)
-	})
-
-	fmt.Fprintf(w, "# HELP qr2_slo_breaches_total Snapshot offers observed with the window's burn rate above 1.\n")
-	fmt.Fprintf(w, "# TYPE qr2_slo_breaches_total counter\n")
-	t.eachSeries(st, func(s SLOStatus) {
-		fmt.Fprintf(w, "qr2_slo_breaches_total{slo=%q,window=%q} %d\n", s.SLO, s.Window, s.Breaches)
-	})
-}
-
-// eachSeries yields one SLOStatus per (slo, window) pair — the computed
-// statuses when samples exist, zero-valued placeholders before any Offer
-// so the family shape is stable from boot.
-func (t *SLOTracker) eachSeries(st []SLOStatus, fn func(SLOStatus)) {
-	if len(st) > 0 {
-		for _, s := range st {
-			fn(s)
+	if len(st) == 0 {
+		for _, win := range t.obj.Windows {
+			for _, slo := range []string{SLOQueriesPerAnswer, SLODegradedFraction, SLOForwardP99} {
+				st = append(st, SLOStatus{SLO: slo, Window: win.String()})
+			}
 		}
-		return
 	}
-	for _, win := range t.obj.Windows {
-		w := win.String()
-		fn(SLOStatus{SLO: SLOQueriesPerAnswer, Window: w})
-		fn(SLOStatus{SLO: SLODegradedFraction, Window: w})
-		fn(SLOStatus{SLO: SLOForwardP99, Window: w})
+	objective := Family{Name: "qr2_slo_objective", Type: TypeGauge,
+		Help: "Configured SLO objective (ratio, fraction, or seconds).",
+		Samples: []Sample{
+			{Labels: []string{"slo", SLOQueriesPerAnswer}, Value: t.obj.QueriesPerAnswer},
+			{Labels: []string{"slo", SLODegradedFraction}, Value: t.obj.DegradedFraction},
+			{Labels: []string{"slo", SLOForwardP99}, Value: t.obj.ForwardP99.Seconds()},
+		}}
+	burn := Family{Name: "qr2_slo_burn_rate", Type: TypeGauge,
+		Help: "Windowed actual value divided by the objective; above 1 the SLO is burning."}
+	breaches := Family{Name: "qr2_slo_breaches_total", Type: TypeCounter,
+		Help: "Snapshot offers observed with the window's burn rate above 1."}
+	for _, s := range st {
+		labels := []string{"slo", s.SLO, "window", s.Window}
+		burn.Samples = append(burn.Samples, Sample{Labels: labels, Value: s.BurnRate})
+		breaches.Samples = append(breaches.Samples, Sample{Labels: labels, Value: float64(s.Breaches)})
 	}
+	return []Family{objective, burn, breaches}
 }

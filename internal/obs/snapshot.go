@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"time"
 )
 
@@ -71,6 +70,14 @@ func (h *HistData) Quantile(q float64) time.Duration {
 	return quantileOf(h.Counts, q)
 }
 
+// Sample returns the data as one series of a latency histogram family
+// (bucket bounds and sum in seconds) with the given label pairs.
+func (h *HistData) Sample(labels ...string) Sample {
+	return Sample{Labels: labels, Hist: &HistSample{
+		Bounds: latencyBounds, Counts: h.Counts, Sum: float64(h.Sum) / 1e9,
+	}}
+}
+
 // Percentiles summarises the data in the same shape collectors report.
 func (h *HistData) Percentiles() Percentiles {
 	p := Percentiles{Count: h.Count()}
@@ -83,36 +90,6 @@ func (h *HistData) Percentiles() Percentiles {
 	p.P999 = h.Quantile(0.999).Seconds()
 	p.MeanS = float64(h.Sum) / 1e9 / float64(p.Count)
 	return p
-}
-
-// WriteProm writes the data as Prometheus _bucket/_sum/_count rows for
-// the family name with the given label pairs (no le). Counts shorter
-// than NumBuckets (never produced locally, conceivable from a skewed
-// peer) still emit a final +Inf bucket equal to _count.
-func (h *HistData) WriteProm(w io.Writer, name, labels string) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	var cum uint64
-	for i := 0; i < NumBuckets; i++ {
-		var n uint64
-		if i < len(h.Counts) {
-			n = h.Counts[i]
-		}
-		cum += n
-		le := "+Inf"
-		if i < NumBuckets-1 {
-			le = formatLe(i)
-		}
-		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, le, cum)
-	}
-	suffix := ""
-	if labels != "" {
-		suffix = "{" + labels + "}"
-	}
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, suffix, float64(h.Sum)/1e9)
-	fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, cum)
 }
 
 // Snapshot is one replica's mergeable observability export: cumulative
@@ -165,9 +142,26 @@ func (c *Collector) Snapshot(replica string) *Snapshot {
 	return s
 }
 
+// knownStage and knownPath hold every key a Collector's Snapshot can
+// produce. Merge drops any other key, so a peer's snapshot cannot add
+// series to the fleet families.
+var knownStage, knownPath = func() (stages, paths map[string]bool) {
+	stages, paths = map[string]bool{}, map[string]bool{}
+	for st := Stage(0); st < numStages; st++ {
+		for o := Outcome(0); o < numOutcomes; o++ {
+			stages[st.String()+"/"+o.String()] = true
+		}
+	}
+	for p := Path(0); p < numPaths; p++ {
+		paths[p.String()] = true
+	}
+	return stages, paths
+}()
+
 // Merge folds o into s: counters add, histograms merge elementwise.
-// Mismatched histograms from o are skipped (the error is returned, the
-// rest of the merge completes). Nil o is a no-op.
+// Histograms from o under a key no collector produces, or with a bucket
+// count other than NumBuckets, are skipped (the first such error is
+// returned, the rest of the merge completes). Nil o is a no-op.
 func (s *Snapshot) Merge(o *Snapshot) error {
 	if o == nil {
 		return nil
@@ -176,24 +170,36 @@ func (s *Snapshot) Merge(o *Snapshot) error {
 	s.Slow += o.Slow
 	s.WebQueries += o.WebQueries
 	var firstErr error
-	merge := func(dst map[string]*HistData, key string, h *HistData) map[string]*HistData {
+	merge := func(dst map[string]*HistData, known map[string]bool, key string, h *HistData) map[string]*HistData {
+		if h == nil {
+			return dst
+		}
 		if dst == nil {
 			dst = map[string]*HistData{}
 		}
-		if have, ok := dst[key]; ok {
-			if err := have.Merge(h); err != nil && firstErr == nil {
-				firstErr = err
+		var err error
+		switch have, ok := dst[key]; {
+		case !known[key]:
+			if firstErr == nil {
+				err = fmt.Errorf("obs: merging histogram under unknown key %q", key)
 			}
-		} else {
+		case ok:
+			err = have.Merge(h)
+		case len(h.Counts) != NumBuckets:
+			err = fmt.Errorf("obs: merging %d-bucket histogram into %d buckets", len(h.Counts), NumBuckets)
+		default:
 			dst[key] = h.Clone()
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 		return dst
 	}
 	for k, h := range o.Stage {
-		s.Stage = merge(s.Stage, k, h)
+		s.Stage = merge(s.Stage, knownStage, k, h)
 	}
 	for k, h := range o.Request {
-		s.Request = merge(s.Request, k, h)
+		s.Request = merge(s.Request, knownPath, k, h)
 	}
 	return firstErr
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -120,13 +121,56 @@ func TestSnapshotMergeMismatchedBuckets(t *testing.T) {
 func TestSnapshotWriteProm(t *testing.T) {
 	h := &HistData{Counts: make([]uint64, NumBuckets), Sum: 3e9}
 	h.Counts[2], h.Counts[30] = 4, 1
-	var b strings.Builder
-	h.WriteProm(&b, "qr2_fleet_request_latency_seconds", `path="web"`)
-	out := b.String()
+	out := promText("qr2_fleet_request_latency_seconds", h, "path", "web")
 	if !strings.Contains(out, `qr2_fleet_request_latency_seconds_bucket{path="web",le="+Inf"} 5`) {
 		t.Fatalf("missing +Inf bucket:\n%s", out)
 	}
 	if !strings.Contains(out, `qr2_fleet_request_latency_seconds_count{path="web"} 5`) {
 		t.Fatalf("count != cumulative:\n%s", out)
+	}
+}
+
+// TestSnapshotMergeRejectsUnknownKeys: a peer snapshot cannot add
+// series. Junk and hostile stage/path keys, and a new histogram with the
+// wrong bucket layout, are dropped with an error; the known keys riding
+// alongside still merge.
+func TestSnapshotMergeRejectsUnknownKeys(t *testing.T) {
+	hist := func(n uint64) *HistData {
+		h := &HistData{Counts: make([]uint64, NumBuckets), Sum: n}
+		h.Counts[5] = n
+		return h
+	}
+	const stageKey = "web_query/ok"
+	s := &Snapshot{
+		Stage:   map[string]*HistData{stageKey: hist(1)},
+		Request: map[string]*HistData{"web": hist(1)},
+	}
+	peer := &Snapshot{
+		Stage:   map[string]*HistData{stageKey: hist(2)},
+		Request: map[string]*HistData{"web": hist(2), "pool-hit": hist(3)},
+	}
+	for i := 0; i < 10000; i++ {
+		peer.Stage[fmt.Sprintf("junk%d/ok", i)] = hist(1)
+	}
+	hostile := "web\"} 1\nqr2_evil_total 1\n#"
+	peer.Stage[hostile] = hist(1)
+	peer.Request[hostile] = hist(1)
+	peer.Request["web/ok"] = hist(1)
+	peer.Request["dense"] = &HistData{Counts: make([]uint64, 7)} // known key, wrong layout
+
+	if err := s.Merge(peer); err == nil {
+		t.Fatal("merging unknown keys did not error")
+	}
+	if len(s.Stage) != 1 || len(s.Request) != 2 {
+		t.Fatalf("unknown keys survived the merge: %d stage, %d request keys", len(s.Stage), len(s.Request))
+	}
+	if got := s.Stage[stageKey].Count(); got != 3 {
+		t.Fatalf("known stage key merged to count %d, want 3", got)
+	}
+	if got, want := s.Request["web"].Count(), uint64(3); got != want {
+		t.Fatalf("known path key merged to count %d, want %d", got, want)
+	}
+	if got := s.Request["pool-hit"].Count(); got != 3 {
+		t.Fatalf("new known path key merged to count %d, want 3", got)
 	}
 }

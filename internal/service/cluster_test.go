@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -122,7 +123,18 @@ func TestClusterServiceSharesAnswers(t *testing.T) {
 // counters on /api/stats and /metrics.
 func TestClusterStatsAndMetrics(t *testing.T) {
 	reps, urls, _ := clusterServices(t)
-	_ = reps
+	// Traffic on both replicas, so a forwards some lookups to b and the
+	// counters compared below have moved.
+	for i, id := range []string{"a", "b", "a"} {
+		client := &http.Client{Jar: &cookieJar{cookies: map[string][]*http.Cookie{}}}
+		form := url.Values{"source": {"zillow"}, "rank": {"price"}, "k": {"5"},
+			"min.price": {strconv.Itoa(100000 + 50000*i)}}
+		if resp, body := postForm(t, client, urls[id]+"/api/query", form); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query on %s: %d %s", id, resp.StatusCode, body)
+		}
+	}
+	reps["a"].Cluster().Quiesce()
+	reps["b"].Cluster().Quiesce()
 	resp, err := http.Get(urls["a"] + "/api/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +179,32 @@ func TestClusterStatsAndMetrics(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+
+	// Both endpoints render one stats snapshot, so with no traffic in
+	// between they must report the same counters.
+	rows := map[string]string{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if key, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			rows[key] = val
+		}
+	}
+	sd := doc.Sources["zillow"]
+	for key, want := range map[string]int64{
+		`qr2_qcache_hits_total{source="zillow"}`:     sd.Cache.Hits,
+		`qr2_qcache_misses_total{source="zillow"}`:   sd.Cache.Misses,
+		`qr2_dense_hits_total{source="zillow"}`:      sd.Stats.Hits,
+		`qr2_source_attempts_total{source="zillow"}`: sd.Resilience.Attempts,
+		`qr2_cluster_forwards_total{self="a"}`:       doc.Cluster.Forwards,
+		`qr2_peer_batch_occupancy_sum{self="a"}`:     doc.Cluster.Transport.OccupancySum(),
+	} {
+		if got := rows[key]; got != strconv.FormatInt(want, 10) {
+			t.Errorf("%s: /metrics %q, /api/stats %d", key, got, want)
+		}
+	}
+	if sd.Cache.Misses == 0 || sd.Resilience.Attempts == 0 || doc.Cluster.Forwards == 0 {
+		t.Fatalf("counters never moved — comparison vacuous: cache %+v, attempts %d, forwards %d",
+			sd.Cache, sd.Resilience.Attempts, doc.Cluster.Forwards)
 	}
 
 	// The ring document is mounted on the service mux for operators.

@@ -1,9 +1,7 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -47,71 +45,6 @@ func (s *Server) fleetView() (merged *obs.Snapshot, replicas map[string]*obs.Sna
 	return local, map[string]*obs.Snapshot{local.Replica: local}, time.Now()
 }
 
-// writeFleetMetrics appends the qr2_fleet_* families — merged fleet
-// counters and latency histograms plus one health/attribution row per
-// replica — and the qr2_slo_* burn rates. The merged snapshot is also
-// offered to the SLO tracker so a standalone replica (no roll-up
-// poller) accumulates burn-rate samples at scrape cadence.
-func (s *Server) writeFleetMetrics(b *strings.Builder) {
-	if s.obsC == nil {
-		return
-	}
-	now := time.Now()
-	merged, replicas, at := s.fleetView()
-	s.slo.Offer(merged, now)
-
-	fmt.Fprintf(b, "# HELP qr2_fleet_replicas Replicas contributing to the current fleet roll-up.\n# TYPE qr2_fleet_replicas gauge\nqr2_fleet_replicas %d\n", len(replicas))
-	fmt.Fprintf(b, "# HELP qr2_fleet_snapshot_age_seconds Age of the fleet roll-up this page reports from.\n# TYPE qr2_fleet_snapshot_age_seconds gauge\nqr2_fleet_snapshot_age_seconds %g\n", now.Sub(at).Seconds())
-	fmt.Fprintf(b, "# HELP qr2_fleet_traces_total Completed request traces, fleet-wide.\n# TYPE qr2_fleet_traces_total counter\nqr2_fleet_traces_total %d\n", merged.Traces)
-	fmt.Fprintf(b, "# HELP qr2_fleet_slow_traces_total Slow-threshold exceedances, fleet-wide.\n# TYPE qr2_fleet_slow_traces_total counter\nqr2_fleet_slow_traces_total %d\n", merged.Slow)
-	fmt.Fprintf(b, "# HELP qr2_fleet_web_queries_total Web-database queries spent, fleet-wide.\n# TYPE qr2_fleet_web_queries_total counter\nqr2_fleet_web_queries_total %d\n", merged.WebQueries)
-
-	ids := make([]string, 0, len(replicas))
-	for id := range replicas {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	fmt.Fprintf(b, "# HELP qr2_fleet_replica_up Replica present in the current fleet roll-up.\n# TYPE qr2_fleet_replica_up gauge\n")
-	for _, id := range ids {
-		fmt.Fprintf(b, "qr2_fleet_replica_up{replica=\"%s\"} 1\n", escapeLabel(id))
-	}
-	fmt.Fprintf(b, "# HELP qr2_fleet_replica_traces_total Completed traces per replica, from its last polled snapshot.\n# TYPE qr2_fleet_replica_traces_total counter\n")
-	for _, id := range ids {
-		fmt.Fprintf(b, "qr2_fleet_replica_traces_total{replica=\"%s\"} %d\n", escapeLabel(id), replicas[id].Traces)
-	}
-	fmt.Fprintf(b, "# HELP qr2_fleet_replica_slow_traces_total Slow traces per replica, from its last polled snapshot.\n# TYPE qr2_fleet_replica_slow_traces_total counter\n")
-	for _, id := range ids {
-		fmt.Fprintf(b, "qr2_fleet_replica_slow_traces_total{replica=\"%s\"} %d\n", escapeLabel(id), replicas[id].Slow)
-	}
-	fmt.Fprintf(b, "# HELP qr2_fleet_replica_web_queries_total Web-database queries per replica, from its last polled snapshot.\n# TYPE qr2_fleet_replica_web_queries_total counter\n")
-	for _, id := range ids {
-		fmt.Fprintf(b, "qr2_fleet_replica_web_queries_total{replica=\"%s\"} %d\n", escapeLabel(id), replicas[id].WebQueries)
-	}
-
-	fmt.Fprintf(b, "# HELP qr2_fleet_request_latency_seconds Fleet-merged end-to-end request latency by decision path.\n# TYPE qr2_fleet_request_latency_seconds histogram\n")
-	for _, path := range sortedHistKeys(merged.Request) {
-		merged.Request[path].WriteProm(b, "qr2_fleet_request_latency_seconds",
-			fmt.Sprintf("path=%q", escapeLabel(path)))
-	}
-	fmt.Fprintf(b, "# HELP qr2_fleet_stage_latency_seconds Fleet-merged pipeline-stage latency by stage and outcome.\n# TYPE qr2_fleet_stage_latency_seconds histogram\n")
-	for _, key := range sortedHistKeys(merged.Stage) {
-		stage, outcome, _ := strings.Cut(key, "/")
-		merged.Stage[key].WriteProm(b, "qr2_fleet_stage_latency_seconds",
-			fmt.Sprintf("stage=%q,outcome=%q", escapeLabel(stage), escapeLabel(outcome)))
-	}
-
-	s.slo.WriteMetrics(b, now)
-}
-
-func sortedHistKeys(m map[string]*obs.HistData) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // fleetStatsDoc is the fleet roll-up section of GET /api/stats.
 type fleetStatsDoc struct {
 	Replicas int       `json:"replicas"`
@@ -130,6 +63,10 @@ type fleetStatsDoc struct {
 	Replica map[string]fleetReplicaDoc `json:"replica,omitempty"`
 	// SLO reports every (objective, window) burn rate.
 	SLO []obs.SLOStatus `json:"slo,omitempty"`
+
+	// merged and slo feed the histogram and SLO families on /metrics.
+	merged *obs.Snapshot
+	slo    *obs.SLOTracker
 }
 
 type fleetReplicaDoc struct {
@@ -154,6 +91,8 @@ func (s *Server) fleetStats() *fleetStatsDoc {
 		Request:    make(map[string]obs.Percentiles, len(merged.Request)),
 		Replica:    make(map[string]fleetReplicaDoc, len(replicas)),
 		SLO:        s.slo.Status(time.Now()),
+		merged:     merged,
+		slo:        s.slo,
 	}
 	if doc.Traces > 0 {
 		doc.QueriesPerAnswer = float64(doc.WebQueries) / float64(doc.Traces)
@@ -167,4 +106,44 @@ func (s *Server) fleetStats() *fleetStatsDoc {
 		}
 	}
 	return doc
+}
+
+// families renders the roll-up as the qr2_fleet_* families — merged
+// fleet counters and latency histograms plus one health/attribution row
+// per replica — and the qr2_slo_* burn rates. Nil-safe.
+func (f *fleetStatsDoc) families() []obs.Family {
+	if f == nil {
+		return nil
+	}
+	fs := &familySet{at: map[string]int{}}
+	fs.add([]row{
+		{"qr2_fleet_replicas", gauge, "Replicas contributing to the current fleet roll-up.", int64(f.Replicas)},
+		{"qr2_fleet_traces_total", counter, "Completed request traces, fleet-wide.", int64(f.Traces)},
+		{"qr2_fleet_slow_traces_total", counter, "Slow-threshold exceedances, fleet-wide.", int64(f.Slow)},
+		{"qr2_fleet_web_queries_total", counter, "Web-database queries spent, fleet-wide.", int64(f.WebQueries)},
+	})
+	for _, id := range obs.SortedKeys(f.Replica) {
+		r := f.Replica[id]
+		fs.add([]row{
+			{"qr2_fleet_replica_up", gauge, "Replica present in the current fleet roll-up.", 1},
+			{"qr2_fleet_replica_traces_total", counter, "Completed traces per replica, from its last polled snapshot.", int64(r.Traces)},
+			{"qr2_fleet_replica_slow_traces_total", counter, "Slow traces per replica, from its last polled snapshot.", int64(r.Slow)},
+			{"qr2_fleet_replica_web_queries_total", counter, "Web-database queries per replica, from its last polled snapshot.", int64(r.WebQueries)},
+		}, "replica", id)
+	}
+	request := obs.Family{Name: "qr2_fleet_request_latency_seconds", Type: obs.TypeHistogram,
+		Help: "Fleet-merged end-to-end request latency by decision path."}
+	for _, path := range obs.SortedKeys(f.merged.Request) {
+		request.Samples = append(request.Samples, f.merged.Request[path].Sample("path", path))
+	}
+	stage := obs.Family{Name: "qr2_fleet_stage_latency_seconds", Type: obs.TypeHistogram,
+		Help: "Fleet-merged pipeline-stage latency by stage and outcome."}
+	for _, key := range obs.SortedKeys(f.merged.Stage) {
+		st, outcome, _ := strings.Cut(key, "/")
+		stage.Samples = append(stage.Samples, f.merged.Stage[key].Sample("stage", st, "outcome", outcome))
+	}
+	fams := append(fs.fams, request, stage, obs.Family{Name: "qr2_fleet_snapshot_age_seconds", Type: obs.TypeGauge,
+		Help:    "Age of the fleet roll-up this page reports from.",
+		Samples: []obs.Sample{{Value: time.Since(f.At).Seconds()}}})
+	return append(fams, f.slo.Families(f.SLO)...)
 }

@@ -136,19 +136,3 @@ func TestMetricsEscapesNonASCIISourceName(t *testing.T) {
 		t.Fatalf("metrics contain %%q-style unicode escapes:\n%s", text)
 	}
 }
-
-func TestEscapeLabel(t *testing.T) {
-	cases := map[string]string{
-		"plain":         "plain",
-		"caf\u00e9":     "café",
-		`back\slash`:    `back\\slash`,
-		`quo"te`:        `quo\"te`,
-		"new\nline":     `new\nline`,
-		`all"三\` + "\n": `all\"三\\\n`,
-	}
-	for in, want := range cases {
-		if got := escapeLabel(in); got != want {
-			t.Fatalf("escapeLabel(%q) = %q, want %q", in, got, want)
-		}
-	}
-}

@@ -651,39 +651,24 @@ type epochStatsDoc struct {
 	// PartialBumps counts the advances that carried a region scope —
 	// surgical invalidations that wiped only the bumped rect.
 	PartialBumps int64 `json:"partial_bumps"`
-	// Probes/Mismatches/Errors/Paused/Sentinels describe the
-	// change-detection prober for the source; Refreshes counts
-	// traffic-derived sentinel placement changes.
-	Probes     int64 `json:"probes"`
-	Mismatches int64 `json:"mismatches"`
-	Errors     int64 `json:"errors"`
-	Paused     int64 `json:"paused"`
-	Sentinels  int   `json:"sentinels"`
-	Refreshes  int64 `json:"refreshes"`
+	// ProbeStats describes the source's change-detection prober.
+	epoch.ProbeStats
 }
 
 // sourceStatsDoc is one source's operational counters on GET /api/stats.
 type sourceStatsDoc struct {
-	SystemK                int               `json:"system_k"`
-	Cache                  *qcache.Stats     `json:"cache,omitempty"`
-	CacheHitRate           float64           `json:"cache_hit_rate"`
-	Epoch                  *epochStatsDoc    `json:"epoch,omitempty"`
-	Resilience             *resilience.Stats `json:"resilience,omitempty"`
-	DenseEntries           int               `json:"dense_entries"`
-	DenseTuples            int               `json:"dense_tuples"`
-	DenseHits              int64             `json:"dense_hits"`
-	DenseMisses            int64             `json:"dense_misses"`
-	DenseWipes             int64             `json:"dense_wipes"`
-	DenseRegionWipes       int64             `json:"dense_region_wipes"`
-	DenseResidentEntries   int               `json:"dense_resident_entries"`
-	DenseResidentBytes     int64             `json:"dense_resident_bytes"`
-	DenseResidentLoads     int64             `json:"dense_resident_loads"`
-	DenseResidentEvictions int64             `json:"dense_resident_evictions"`
+	SystemK      int               `json:"system_k"`
+	Cache        *qcache.Stats     `json:"cache,omitempty"`
+	CacheHitRate float64           `json:"cache_hit_rate"`
+	Epoch        *epochStatsDoc    `json:"epoch,omitempty"`
+	Resilience   *resilience.Stats `json:"resilience,omitempty"`
+	// Stats is the dense index, flattened into dense_* keys.
+	dense.Stats
 }
 
 type serviceStatsDoc struct {
-	Sessions int                       `json:"sessions"`
-	Sources  map[string]sourceStatsDoc `json:"sources"`
+	Sessions int                        `json:"sessions"`
+	Sources  map[string]*sourceStatsDoc `json:"sources"`
 	// Pool describes the process-wide answer-cache pool (shared-pool mode
 	// only): global residency plus per-namespace counters.
 	Pool *qcache.PoolStats `json:"pool,omitempty"`
@@ -699,12 +684,14 @@ type serviceStatsDoc struct {
 	Fleet *fleetStatsDoc `json:"fleet,omitempty"`
 }
 
-// handleStats reports per-source cache and dense-index effectiveness so
-// operators can watch hit rates in production.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	doc := serviceStatsDoc{
+// stats gathers one snapshot of every subsystem's counters. GET
+// /api/stats encodes it as JSON and GET /metrics renders it as
+// Prometheus families, so the two endpoints read the same values.
+func (s *Server) stats() *serviceStatsDoc {
+	doc := &serviceStatsDoc{
 		Sessions: s.sessions.Len(),
-		Sources:  make(map[string]sourceStatsDoc, len(s.sources)),
+		Sources:  make(map[string]*sourceStatsDoc, len(s.sources)),
+		Fleet:    s.fleetStats(),
 	}
 	if s.pool != nil {
 		ps := s.pool.Stats()
@@ -718,22 +705,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		cs := s.node.Stats()
 		doc.Cluster = &cs
 	}
-	doc.Fleet = s.fleetStats()
 	for name, src := range s.sources {
-		ds := src.ix.Stats()
-		sd := sourceStatsDoc{
-			SystemK:                src.db.SystemK(),
-			DenseEntries:           ds.Entries,
-			DenseTuples:            ds.TuplesStored,
-			DenseHits:              ds.Hits,
-			DenseMisses:            ds.Misses,
-			DenseWipes:             ds.Wipes,
-			DenseRegionWipes:       ds.RegionWipes,
-			DenseResidentEntries:   ds.ResidentEntries,
-			DenseResidentBytes:     ds.ResidentBytes,
-			DenseResidentLoads:     ds.ResidentLoads,
-			DenseResidentEvictions: ds.ResidentEvictions,
-		}
+		sd := &sourceStatsDoc{SystemK: src.db.SystemK(), Stats: src.ix.Stats()}
 		if src.cache != nil {
 			cs := src.cache.Stats()
 			sd.Cache = &cs
@@ -744,19 +717,21 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			sd.Resilience = &rs
 		}
 		if e, ok := s.epochs.Get(name); ok {
-			ed := epochStatsDoc{Seq: e.Seq, BumpedAt: e.BumpedAt,
+			sd.Epoch = &epochStatsDoc{Seq: e.Seq, BumpedAt: e.BumpedAt,
 				PartialBumps: s.epochs.PartialBumps(name)}
 			if p, ok := s.probers[name]; ok {
-				ps := p.Stats()
-				ed.Probes, ed.Mismatches, ed.Errors, ed.Paused, ed.Sentinels =
-					ps.Probes, ps.Mismatches, ps.Errors, ps.Paused, ps.Sentinels
-				ed.Refreshes = ps.Refreshes
+				sd.Epoch.ProbeStats = p.Stats()
 			}
-			sd.Epoch = &ed
 		}
 		doc.Sources[name] = sd
 	}
-	writeJSON(w, http.StatusOK, doc)
+	return doc
+}
+
+// handleStats reports per-source cache and dense-index effectiveness so
+// operators can watch hit rates in production.
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.stats())
 }
 
 // getSession resolves the request's session (creating one if needed) and

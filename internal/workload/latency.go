@@ -78,13 +78,12 @@ func LatencyFrom(col *obs.Collector, description, note string) *LatencyReport {
 			Note:   note,
 		},
 	}
-	reqs := col.RequestPercentiles()
-	for _, path := range obs.SortedKeys(reqs) {
-		rep.Requests = append(rep.Requests, PathLatency{Path: path, Percentiles: reqs[path]})
+	snap := col.Snapshot("")
+	for _, path := range obs.SortedKeys(snap.Request) {
+		rep.Requests = append(rep.Requests, PathLatency{Path: path, Percentiles: snap.Request[path].Percentiles()})
 	}
-	stages := col.StagePercentiles()
-	for _, st := range obs.SortedKeys(stages) {
-		rep.Stages = append(rep.Stages, StageLatency{Stage: st, Percentiles: stages[st]})
+	for _, st := range obs.SortedKeys(snap.Stage) {
+		rep.Stages = append(rep.Stages, StageLatency{Stage: st, Percentiles: snap.Stage[st].Percentiles()})
 	}
 	return rep
 }
